@@ -13,25 +13,13 @@
 //! The stable sort sees the same key sequence in the same order, every
 //! floating-point accumulation keeps its order, and the RNG draw sequence
 //! is untouched, so the fitted tree is **bitwise identical** to the
-//! retained reference builder — [`set_reference_fit`] flips fits back to
-//! the reference path so benchmarks can time the pre-change semantics.
+//! retained reference builder behind [`DecisionTree::fit_reference`],
+//! which benchmarks and equivalence tests call directly.
 
-use rand::Rng;
-use std::sync::atomic::{AtomicBool, Ordering};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::ml::Regressor;
-
-/// Process-wide toggle routing [`Regressor::fit`] for trees through the
-/// retained reference builder (per-node index-list sorts over the nested
-/// sample rows) instead of the flat-slab key-sort fast path. Benchmarks
-/// flip it to time the pre-change semantics; both builders grow bitwise
-/// identical trees, so this is never a correctness knob.
-static REFERENCE_FIT: AtomicBool = AtomicBool::new(false);
-
-/// Routes tree fits through the reference builder when `on`.
-pub fn set_reference_fit(on: bool) {
-    REFERENCE_FIT.store(on, Ordering::Relaxed);
-}
 
 /// Split-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +109,29 @@ impl DecisionTree {
         }
     }
 
-    /// Reference builder, retained verbatim for [`set_reference_fit`]:
+    /// Fits through the retained reference builder (per-node index-list
+    /// sorts over the nested sample rows) instead of the flat-slab
+    /// key-sort fast path of [`Regressor::fit`]. Both grow bitwise
+    /// identical trees from the same seeded RNG; this is the oracle the
+    /// fast path is pinned and timed against.
+    pub fn fit_reference(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
+        if let Some((mut idxs, mut rng)) = self.begin_fit(xs, ys) {
+            self.build_reference(xs, ys, &mut idxs, 0, &mut rng);
+        }
+    }
+
+    /// Shared fit prologue: clears the tree and, for a non-empty sample,
+    /// returns the root index list and the tree's freshly seeded RNG.
+    fn begin_fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> Option<(Vec<usize>, StdRng)> {
+        assert_eq!(xs.len(), ys.len());
+        self.nodes.clear();
+        if xs.is_empty() {
+            return None;
+        }
+        Some(((0..xs.len()).collect(), StdRng::seed_from_u64(self.seed)))
+    }
+
+    /// Reference builder, retained verbatim behind [`Self::fit_reference`]:
     /// each best-split scan clones and sorts the node's index list and
     /// gathers features through the nested `xs` rows.
     fn build_reference(
@@ -419,18 +429,9 @@ impl DecisionTree {
 
 impl Regressor for DecisionTree {
     fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
-        assert_eq!(xs.len(), ys.len());
-        self.nodes.clear();
-        if xs.is_empty() {
+        let Some((mut idxs, mut rng)) = self.begin_fit(xs, ys) else {
             return;
-        }
-        let mut idxs: Vec<usize> = (0..xs.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        use rand::SeedableRng;
-        if REFERENCE_FIT.load(Ordering::Relaxed) {
-            self.build_reference(xs, ys, &mut idxs, 0, &mut rng);
-            return;
-        }
+        };
         // Flatten the sample rows once; the builder then gathers features
         // with one multiply instead of a pointer chase per access.
         let d = xs[0].len();
@@ -607,10 +608,7 @@ mod tests {
             let mut fast = DecisionTree::new(config, 17);
             fast.fit(&xs, &ys);
             let mut reference = DecisionTree::new(config, 17);
-            let mut idxs: Vec<usize> = (0..xs.len()).collect();
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(reference.seed);
-            reference.build_reference(&xs, &ys, &mut idxs, 0, &mut rng);
+            reference.fit_reference(&xs, &ys);
             assert_eq!(fast.node_count(), reference.node_count(), "{policy:?}");
             for x in &xs {
                 assert_eq!(

@@ -439,103 +439,6 @@ impl Matrix {
         }
     }
 
-    /// Fused `out = (out + self * rhs) + bias` with a per-row bias,
-    /// accumulating into `out` without a separate combine pass.
-    ///
-    /// Each product element is accumulated to completion in registers
-    /// (ascending `k`, identical to [`Matrix::matmul_into`]) and only then
-    /// folded as `(out[i][j] + acc) + bias[i]` — the exact combine order a
-    /// caller would get from a standalone product followed by an
-    /// element-wise `(a + b) + bias` sweep, so results are bitwise equal to
-    /// the two-pass form while touching `out` once instead of three times.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch or when `out` / `bias` lengths
-    /// don't match the `self.rows x rhs.cols` product shape.
-    pub fn matmul_acc_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_acc_bias_into: ({}x{}) * ({}x{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        assert_eq!(out.len(), m * n, "matmul_acc_bias_into: output length");
-        assert_eq!(bias.len(), m, "matmul_acc_bias_into: bias length");
-        const JB: usize = 8;
-        let b_data = &rhs.data[..k * n];
-        let a_data = &self.data[..m * k];
-        let mut j = 0;
-        while j + JB <= n {
-            let mut i = 0;
-            while i + 2 <= m {
-                let a0 = &a_data[i * k..(i + 1) * k];
-                let a1 = &a_data[(i + 1) * k..(i + 2) * k];
-                let mut acc0 = [0.0f64; JB];
-                let mut acc1 = [0.0f64; JB];
-                for p in 0..k {
-                    let b = &b_data[p * n + j..p * n + j + JB];
-                    let (x0, x1) = (a0[p], a1[p]);
-                    for t in 0..JB {
-                        acc0[t] += x0 * b[t];
-                        acc1[t] += x1 * b[t];
-                    }
-                }
-                let (b0, b1) = (bias[i], bias[i + 1]);
-                let o0 = &mut out[i * n + j..i * n + j + JB];
-                for t in 0..JB {
-                    o0[t] = (o0[t] + acc0[t]) + b0;
-                }
-                let o1 = &mut out[(i + 1) * n + j..(i + 1) * n + j + JB];
-                for t in 0..JB {
-                    o1[t] = (o1[t] + acc1[t]) + b1;
-                }
-                i += 2;
-            }
-            if i < m {
-                let a0 = &a_data[i * k..(i + 1) * k];
-                let mut acc0 = [0.0f64; JB];
-                for p in 0..k {
-                    let b = &b_data[p * n + j..p * n + j + JB];
-                    let x0 = a0[p];
-                    for t in 0..JB {
-                        acc0[t] += x0 * b[t];
-                    }
-                }
-                let b0 = bias[i];
-                let o0 = &mut out[i * n + j..i * n + j + JB];
-                for t in 0..JB {
-                    o0[t] = (o0[t] + acc0[t]) + b0;
-                }
-            }
-            j += JB;
-        }
-        while j < n {
-            let mut i = 0;
-            while i + 2 <= m {
-                let a0 = &a_data[i * k..(i + 1) * k];
-                let a1 = &a_data[(i + 1) * k..(i + 2) * k];
-                let (mut s0, mut s1) = (0.0f64, 0.0f64);
-                for p in 0..k {
-                    let b = b_data[p * n + j];
-                    s0 += a0[p] * b;
-                    s1 += a1[p] * b;
-                }
-                out[i * n + j] = (out[i * n + j] + s0) + bias[i];
-                out[(i + 1) * n + j] = (out[(i + 1) * n + j] + s1) + bias[i + 1];
-                i += 2;
-            }
-            if i < m {
-                let a0 = &a_data[i * k..(i + 1) * k];
-                let mut s0 = 0.0f64;
-                for p in 0..k {
-                    s0 += a0[p] * b_data[p * n + j];
-                }
-                out[i * n + j] = (out[i * n + j] + s0) + bias[i];
-            }
-            j += 1;
-        }
-    }
-
     /// Matrix-vector product `self * x`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if self.cols != x.len() {
@@ -751,47 +654,6 @@ mod tests {
             let mut out = vec![f64::NAN; m * n];
             a.matmul_into(&b, &mut out);
             assert_eq!(out, expect.as_slice(), "({m}x{k})*({k}x{n})");
-        }
-    }
-
-    #[test]
-    fn matmul_acc_bias_into_matches_two_pass_bitwise() {
-        // The fused kernel must answer exactly what the unfused pipeline
-        // answers: out = (out + self*rhs) + bias[row], with the product
-        // accumulated to completion before the fold. Shapes cover the 2x8
-        // register block, its row/column remainders, and degenerate sizes.
-        let mut rng = StdRng::seed_from_u64(91);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 8),
-            (5, 7, 11),
-            (20, 6, 40),
-            (9, 80, 70),
-        ] {
-            let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
-            let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
-            let bias: Vec<f64> = (0..m).map(|i| 0.25 * i as f64 - 1.0).collect();
-            let seed = Matrix::random_uniform(m, n, 1.0, &mut rng);
-
-            // Two-pass reference: full product, then elementwise fold.
-            let mut product = vec![0.0; m * n];
-            a.matmul_into(&b, &mut product);
-            let mut expect = seed.as_slice().to_vec();
-            for i in 0..m {
-                for j in 0..n {
-                    expect[i * n + j] = (expect[i * n + j] + product[i * n + j]) + bias[i];
-                }
-            }
-
-            let mut out = seed.as_slice().to_vec();
-            a.matmul_acc_bias_into(&b, &bias, &mut out);
-            for (idx, (got, want)) in out.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "({m}x{k})*({k}x{n}) elem {idx}: fused {got} vs two-pass {want}"
-                );
-            }
         }
     }
 

@@ -51,9 +51,8 @@ pub enum Store<'a> {
     /// `out = acc` — a plain product.
     Assign,
     /// `out = (out + acc) + bias[row]` — the fused accumulate+bias fold
-    /// used by the LSTM batched gate step, with the same combine order as
-    /// [`crate::Matrix::matmul_acc_bias_into`]: the product is accumulated
-    /// to completion from zero first, then folded into `out` in one pass.
+    /// used by the LSTM batched gate step: the product is accumulated to
+    /// completion from zero first, then folded into `out` in one pass.
     AccBias(&'a [f64]),
 }
 

@@ -141,11 +141,11 @@ impl PackedA {
         );
     }
 
-    /// Fused `out = (out + A * rhs) + bias` with a per-row bias: the packed
-    /// twin of [`Matrix::matmul_acc_bias_into`], with the identical combine
-    /// order (each product element accumulated to completion in registers,
-    /// then folded as `(out + acc) + bias[row]` at store time) — bitwise
-    /// equal to the two-pass form.
+    /// Fused `out = (out + A * rhs) + bias` with a per-row bias: each
+    /// product element is accumulated to completion in registers, then
+    /// folded as `(out + acc) + bias[row]` at store time — bitwise equal to
+    /// a [`Matrix::matmul_naive`] product followed by that element-wise
+    /// fold.
     ///
     /// # Panics
     /// Panics on shape mismatch (hot path; callers guarantee shapes).

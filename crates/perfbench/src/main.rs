@@ -3,10 +3,12 @@
 //!
 //! Every named kernel is timed on two paths: the retained *reference*
 //! implementation ("before": allocating LSTM forward/backward, naive
-//! matmul, per-row gate dots, serial Gram build, reference least-squares
-//! council sweep) and the optimized implementation ("after":
-//! workspace-reusing LSTM kernels, packed register-tiled GEMM, fused gate
-//! step, blocked packed Gram, fused-lstsq council). Each run
+//! matmul, per-row gate dots, serial Gram build, transpose-and-multiply
+//! least squares, index-sort tree builder) and the optimized
+//! implementation ("after": workspace-reusing LSTM kernels, packed
+//! register-tiled GEMM, fused gate step, blocked packed Gram, fused
+//! normal-equations build, flat-slab tree builder). Every "before" leg
+//! calls its kernel's reference oracle directly. Each run
 //! reports the median of `reps` timed repetitions taken after `warmup`
 //! discarded repetitions — medians because a shared CI box produces
 //! one-sided latency noise that a mean would absorb and a median rejects.
@@ -32,10 +34,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ld_api::{MinMaxScaler, Predictor};
-use ld_baselines::{tree, CloudInsight};
+use ld_api::MinMaxScaler;
+use ld_baselines::features::window_dataset;
+use ld_baselines::ml::Regressor;
+use ld_baselines::tree::{DecisionTree, SplitPolicy, TreeConfig};
 use ld_metrics::Metrics;
-use ld_bayesopt::{BayesianOptimizer, BoOptions, Dim, HyperOptimizer, ParamValue, SearchSpace};
 use ld_gp::gram;
 use ld_gp::{Kernel, KernelKind};
 use ld_linalg::pack::PackedA;
@@ -316,22 +319,14 @@ fn bench_gram_build(cfg: &Cfg) -> KernelResult {
         .map(|i| (0..d).map(|j| ((i * d + j) as f64 * 0.29).sin()).collect())
         .collect();
     let kernel = Kernel::new(KernelKind::Matern52, 1.2, 0.45);
-    // Packed and parallel builds must both be bitwise identical to the
-    // serial reference, and the shipped dispatcher (packed on single-core
-    // hosts, row-parallel past the point threshold) must agree with all
-    // of them.
+    // The packed build and the shipped dispatcher must both be bitwise
+    // identical to the serial reference.
     let k_serial = gram::build_serial(&kernel, &x, 1e-6);
     let k_packed = gram::build_packed(&kernel, &x, 1e-6);
-    let k_parallel = gram::build_parallel(&kernel, &x, 1e-6);
     assert_eq!(
         k_serial.max_abs_diff(&k_packed),
         0.0,
         "gram-build: packed build is not bitwise identical to serial"
-    );
-    assert_eq!(
-        k_serial.max_abs_diff(&k_parallel),
-        0.0,
-        "gram-build: parallel build is not bitwise identical to serial"
     );
     assert_eq!(gram::build(&kernel, &x, 1e-6).max_abs_diff(&k_serial), 0.0);
     // Interleaved legs: both builds are pair-math-bound (an `exp` per
@@ -393,7 +388,7 @@ fn bench_matmul(cfg: &Cfg, n: usize) -> KernelResult {
             64 => "matmul-n64",
             128 => "matmul-n128",
             256 => "matmul-n256",
-            _ => "matmul",
+            _ => unreachable!("matmul sizes are fixed in main"),
         },
         params: format!("{n}x{n} * {n}x{n}"),
         before_median_secs: before,
@@ -509,50 +504,14 @@ fn bench_fused_gate_step(cfg: &Cfg) -> KernelResult {
 }
 
 fn bench_bo_surrogate_gram(cfg: &Cfg) -> KernelResult {
-    let (budget, init, pool) = if cfg.smoke { (8, 3, 16) } else { (24, 6, 48) };
-    // The paper's Table III space (see `ld_core::space::paper_space`): the
-    // production tuner's surrogate is four-dimensional, so both the
-    // trajectory gate and the timed refit sequence use d=4 points.
-    let space = SearchSpace::new(vec![
-        Dim::int_log("hist_len", 1, 512),
-        Dim::int("c_size", 1, 100),
-        Dim::int("layers", 1, 5),
-        Dim::int_log("batch", 16, 1024),
-    ]);
-    let objective = |p: &[ParamValue]| {
-        let h = p[0].as_f64();
-        let c = p[1].as_f64();
-        let l = p[2].as_f64();
-        let b = p[3].as_f64();
-        (h.ln() - 3.0).powi(2)
-            + 0.02 * (c - 40.0).abs()
-            + 0.3 * l
-            + (b.ln() - 5.0).powi(2)
-            + 0.05 * (0.11 * c).sin()
-    };
-    let bo = BayesianOptimizer::new(BoOptions {
-        init_points: init,
-        candidate_pool: pool,
-        ..BoOptions::default()
-    });
-    // The Gram dispatch knob must never change the search trajectory:
-    // both configurations walk the identical observation sequence.
-    gram::set_reference_build(true);
-    let best_before = bo.optimize(&space, &objective, budget, 11).best().value;
-    gram::set_reference_build(false);
-    let best_after = bo.optimize(&space, &objective, budget, 11).best().value;
-    assert_eq!(
-        best_before.to_bits(),
-        best_after.to_bits(),
-        "bo-surrogate-gram: search trajectory changed with the Gram dispatch knob"
-    );
-    // What the knob toggles is the surrogate refit's Gram build — the
-    // Cholesky factor and solve around it are untouched by the dispatch
-    // (the gate above proves the whole search is bitwise invariant), so
-    // this row times exactly the Gram builds a production-budget search
-    // performs: one per refit, on the growing prefixes of a fixed
-    // observation set. The paper's tuner runs maxIters=100, growing the
-    // surrogate well past n=64; the range starts below the
+    // The paper's Table III space (see `ld_core::space::paper_space`) is
+    // four-dimensional, so the production tuner's surrogate refits use
+    // d=4 points. This row times exactly the Gram builds a
+    // production-budget search performs: one per surrogate refit, on the
+    // growing prefixes of a fixed observation set. Every timed build is
+    // first asserted bitwise equal to the serial oracle, so the dispatch
+    // cannot change a search trajectory. The paper's tuner runs
+    // maxIters=100, growing the surrogate well past n=64; the range starts below the
     // `PACKED_MIN_POINTS` crossover so the shipped dispatcher's serial
     // small-n choice is charged to the "after" leg. Timing whole
     // `optimize` runs (or even whole `GpRegressor::fit`s) instead buries
@@ -569,20 +528,33 @@ fn bench_bo_surrogate_gram(cfg: &Cfg) -> KernelResult {
         })
         .collect();
     let kernel = Kernel::default_matern52();
-    let builds = |reference: bool| {
-        gram::set_reference_build(reference);
-        for n in lo..=n_max {
-            black_box(gram::build(&kernel, &train_x[..n], 1e-6));
-        }
-    };
+    for n in lo..=n_max {
+        let serial = gram::build_serial(&kernel, &train_x[..n], 1e-6);
+        assert_eq!(
+            gram::build(&kernel, &train_x[..n], 1e-6).max_abs_diff(&serial),
+            0.0,
+            "bo-surrogate-gram: n={n} dispatched build is not bitwise identical to serial"
+        );
+    }
     let rounds = if cfg.smoke { 5 } else { 9 };
-    let (before, after) = interleaved_medians(rounds, || builds(true), || builds(false));
-    gram::set_reference_build(false);
+    let (before, after) = interleaved_medians(
+        rounds,
+        || {
+            for n in lo..=n_max {
+                black_box(gram::build_serial(&kernel, &train_x[..n], 1e-6));
+            }
+        },
+        || {
+            for n in lo..=n_max {
+                black_box(gram::build(&kernel, &train_x[..n], 1e-6));
+            }
+        },
+    );
     let n_builds = (n_max - lo + 1) as f64;
     KernelResult {
         name: "bo-surrogate-gram",
         params: format!(
-            "gram builds for n={lo}..{n_max} growing refits, matern52 d=4 (per build; trajectory gate at budget={budget} pool={pool})"
+            "gram builds for n={lo}..{n_max} growing refits, matern52 d=4 (per build; bitwise vs build_serial at every n)"
         ),
         before_median_secs: before / n_builds,
         after_median_secs: after / n_builds,
@@ -694,74 +666,119 @@ fn bench_metrics_overhead(cfg: &Cfg) -> KernelResult {
     }
 }
 
-fn bench_cloudinsight_window(cfg: &Cfg) -> KernelResult {
-    let (len, fit_to) = if cfg.smoke { (70, 50) } else { (220, 160) };
-    let data: Vec<f64> = (0..len)
+/// CloudInsight-scale window: a 160-interval history, as the council's
+/// members see it when refitting on every interval.
+fn council_window() -> Vec<f64> {
+    (0..160)
         .map(|i| 50.0 + 15.0 * ((i as f64) * 0.17).sin() + (i % 7) as f64)
-        .collect();
-    let run = |threshold: usize| -> Vec<f64> {
-        let mut ci = CloudInsight::new(5);
-        ci.parallel_threshold = threshold;
-        ci.fit(&data[..fit_to]);
-        (fit_to..len).map(|i| ci.predict(&data[..i])).collect()
-    };
-    // The window walk splits its time between the members' least-squares
-    // fits (six polynomial regressions plus AR/ARMA/ARIMA all call
-    // `solve::lstsq` per interval) and — dominating the row — the
-    // tree-ensemble refits (gradient boosting, random forest, extra
-    // trees). "Before" is the pre-change configuration: reference
-    // normal-equations build, reference per-node index-sort tree builder,
-    // and the serial member sweep. "After" is the shipped defaults: the
-    // fused streaming `lstsq` build, the flat-slab key-sort tree builder,
-    // with the sweep going member-parallel only when the pool has real
-    // workers (single-core hosts sweep serially — the old behavior of
-    // paying rayon overhead on a one-thread pool is what dragged this row
-    // below 1x). All knobs are bitwise-neutral, so every interval must
-    // agree exactly across all configurations.
-    solve::set_reference_lstsq(true);
-    tree::set_reference_fit(true);
-    let reference = run(usize::MAX);
-    solve::set_reference_lstsq(false);
-    tree::set_reference_fit(false);
-    let shipped = run(16);
-    let parallel = run(0);
-    for (i, ((a, b), c)) in reference.iter().zip(&shipped).zip(&parallel).enumerate() {
+        .collect()
+}
+
+fn bench_lstsq_normal_eq(cfg: &Cfg) -> KernelResult {
+    // The council's regression, AR/ARMA/ARIMA and robust-regression members
+    // all solve a least-squares problem per refit. "Before" is the
+    // `lstsq_reference` oracle (materialized transpose, naive `A^T A`
+    // product); "after" is the shipped fused streaming build. Both feed the
+    // identical `A^T A` to the same Cholesky solve, so the coefficient
+    // vectors must agree bitwise. Microsecond-scale: smoke keeps the full
+    // shape so its `--compare` gate measures the baseline's ratio.
+    let history = council_window();
+    let (windows, b) = window_dataset(&history, 8);
+    let design = Matrix::from_fn(windows.len(), 8, |r, c| windows[r][c]);
+    let fast = solve::lstsq(&design, &b, 1e-8).expect("well-posed design");
+    let reference = solve::lstsq_reference(&design, &b, 1e-8).expect("well-posed design");
+    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "cloudinsight-window: interval {i} diverged ({a} vs {b})"
-        );
-        assert_eq!(
-            b.to_bits(),
-            c.to_bits(),
-            "cloudinsight-window: interval {i} sweep modes diverged"
+            f.to_bits(),
+            r.to_bits(),
+            "lstsq-normal-eq: coefficient {i} differs ({r} vs {f})"
         );
     }
-    // A single window walk is tens of milliseconds, so the two legs are
-    // timed interleaved: each round runs reference-then-shipped
-    // back-to-back, keeping host drift out of the ratio. "After" is the
-    // shipped default threshold (16 < 21 members).
-    let rounds = if cfg.smoke { 3 } else { 7 };
+    let inner = 16;
     let (before, after) = interleaved_medians(
-        rounds,
+        cfg.reps.max(5),
         || {
-            solve::set_reference_lstsq(true);
-            tree::set_reference_fit(true);
-            black_box(run(usize::MAX));
+            for _ in 0..inner {
+                black_box(solve::lstsq_reference(black_box(&design), black_box(&b), 1e-8).ok());
+            }
         },
         || {
-            solve::set_reference_lstsq(false);
-            tree::set_reference_fit(false);
-            black_box(run(16));
+            for _ in 0..inner {
+                black_box(solve::lstsq(black_box(&design), black_box(&b), 1e-8).ok());
+            }
         },
     );
-    solve::set_reference_lstsq(false);
-    tree::set_reference_fit(false);
+    let (before, after) = (before / inner as f64, after / inner as f64);
     KernelResult {
-        name: "cloudinsight-window",
+        name: "lstsq-normal-eq",
+        params: format!("{}x8 AR(8) design, ridge 1e-8", design.rows()),
+        before_median_secs: before,
+        after_median_secs: after,
+    }
+}
+
+fn bench_tree_fit(cfg: &Cfg) -> KernelResult {
+    // One fit of each CART configuration the council's tree members grow
+    // on a refit: the decision tree / gradient-boosting stage (best split,
+    // all features), a random-forest tree (best split, sqrt(d) features)
+    // and an extra-trees tree (random threshold, sqrt(d) features).
+    // "Before" is the `fit_reference` oracle (per-node index-list sorts
+    // over the nested rows); "after" is the shipped flat-slab key-sort
+    // builder. Both consume the same seeded RNG draws, so every fitted
+    // tree must predict bitwise identically on every training row.
+    let history = council_window();
+    let (xs, ys) = window_dataset(&history, 8);
+    let configs = [
+        (SplitPolicy::Best, None),
+        (SplitPolicy::Best, Some(3)),
+        (SplitPolicy::Random, Some(3)),
+    ]
+    .map(|(policy, max_features)| TreeConfig {
+        policy,
+        max_features,
+        ..TreeConfig::default()
+    });
+    for config in configs {
+        let mut fast = DecisionTree::new(config, 7);
+        fast.fit(&xs, &ys);
+        let mut reference = DecisionTree::new(config, 7);
+        reference.fit_reference(&xs, &ys);
+        assert_eq!(
+            fast.node_count(),
+            reference.node_count(),
+            "tree-fit: node count"
+        );
+        for (i, x) in xs.iter().enumerate() {
+            assert_eq!(
+                fast.predict(x).to_bits(),
+                reference.predict(x).to_bits(),
+                "tree-fit: {:?} row {i} prediction differs",
+                config.policy
+            );
+        }
+    }
+    let (before, after) = interleaved_medians(
+        cfg.reps.max(5),
+        || {
+            for config in configs {
+                let mut tree = DecisionTree::new(config, 7);
+                tree.fit_reference(black_box(&xs), black_box(&ys));
+                black_box(tree.node_count());
+            }
+        },
+        || {
+            for config in configs {
+                let mut tree = DecisionTree::new(config, 7);
+                tree.fit(black_box(&xs), black_box(&ys));
+                black_box(tree.node_count());
+            }
+        },
+    );
+    KernelResult {
+        name: "tree-fit",
         params: format!(
-            "21 members, fit {fit_to} + {} interval walk-forward",
-            len - fit_to
+            "{} samples d=8: best/all, best/sqrt(d), random/sqrt(d) (one fit each)",
+            xs.len()
         ),
         before_median_secs: before,
         after_median_secs: after,
@@ -820,8 +837,8 @@ fn validate_schema(text: &str, expected_kernels: usize) {
 /// Compares the current run against a committed baseline document.
 ///
 /// Kernels are matched by name; entries present on only one side are
-/// reported and skipped (smoke shapes rename the matmul kernel, so a
-/// smoke run gates only the shape-independent kernels). The gate is on
+/// reported and skipped (a smoke run times only the smallest matmul
+/// size, `matmul-n32`, so the larger matmul rows go ungated). The gate is on
 /// *speedup ratios*, not absolute seconds — absolute timings shift with
 /// the host, but the before/after ratio of the same two code paths on the
 /// same box is comparatively stable. A kernel regresses when
@@ -952,14 +969,15 @@ fn main() {
         bench_train_epoch(&cfg),
         bench_gram_build(&cfg),
     ];
-    let matmul_sizes: &[usize] = if cfg.smoke { &[24] } else { &[32, 64, 128, 256] };
+    let matmul_sizes: &[usize] = if cfg.smoke { &[32] } else { &[32, 64, 128, 256] };
     for &n in matmul_sizes {
         results.push(bench_matmul(&cfg, n));
     }
     results.push(bench_packed_gemm(&cfg));
     results.push(bench_fused_gate_step(&cfg));
     results.push(bench_bo_surrogate_gram(&cfg));
-    results.push(bench_cloudinsight_window(&cfg));
+    results.push(bench_lstsq_normal_eq(&cfg));
+    results.push(bench_tree_fit(&cfg));
     results.push(bench_metrics_overhead(&cfg));
 
     println!(

@@ -47,9 +47,9 @@ fn run_compare(baseline: &PathBuf, tolerance: &str) -> std::process::Output {
 #[test]
 fn regressed_kernel_exits_3() {
     // A baseline claiming an absurd speedup no real run can reach: the
-    // comparison must flag a regression and exit 3. Smoke shapes report
-    // the matmul kernel under the shape-independent name `matmul`.
-    let baseline = write_baseline("doctored-high.json", &[("matmul", 1.0e9)]);
+    // comparison must flag a regression and exit 3. Smoke runs time the
+    // smallest committed matmul row, `matmul-n32`.
+    let baseline = write_baseline("doctored-high.json", &[("matmul-n32", 1.0e9)]);
     let out = run_compare(&baseline, "1.0");
     assert_eq!(
         out.status.code(),
@@ -75,7 +75,7 @@ fn healthy_baseline_exits_0_and_skips_unknown_kernels() {
     // smoke run are reported as skipped, not failed.
     let baseline = write_baseline(
         "doctored-low.json",
-        &[("matmul", 1.0e-9), ("not-a-kernel", 1.0e9)],
+        &[("matmul-n32", 1.0e-9), ("not-a-kernel", 1.0e9)],
     );
     let out = run_compare(&baseline, "1.0");
     assert_eq!(

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for the workspace: release build, the tier-1 test suite, the
+# kernel crates' suites at two test-thread counts, the
 # ld-perfbench smoke run (kernel equivalence asserts + bench schema check),
 # the ld-lint static-analysis gate (report left in target/lint-report.json),
 # and a warning-free clippy pass. Run from the repository root:
@@ -17,6 +18,12 @@ fi
 
 echo "=== cargo test -q ==="
 cargo test -q
+
+echo "=== kernel crate suites (linalg, gp, baselines) at default and one test thread ==="
+# These crates own the kernel dispatchers and their oracles; their unit
+# tests and proptests must pass under any test schedule.
+cargo test -q -p ld-linalg -p ld-gp -p ld-baselines
+cargo test -q -p ld-linalg -p ld-gp -p ld-baselines -- --test-threads=1
 
 echo "=== fault-injection & robustness suites ==="
 cargo test -q -p ld-faultinject

@@ -17,10 +17,9 @@
 //! - The fused LSTM gate step (one packed `[W | U | b]` mat-vec) vs the
 //!   per-row three-term reference step: 1e-9 relative; the batched fused
 //!   inference path vs `predict_reference`: **bitwise**.
-//! - Packed-panel and row-parallel Gram builds vs the serial build:
-//!   **bitwise**.
+//! - The packed-panel Gram build vs the serial build: **bitwise**.
 //! - The flat-slab CART tree builder vs the retained index-sort reference
-//!   builder (through the forest and boosting ensembles): **bitwise**.
+//!   builder, per split policy and feature subsampling: **bitwise**.
 //! - A full `Trainer::fit` run through the fast path vs the reference
 //!   trainer semantics: identical epoch count, losses within 1e-7 relative.
 
@@ -324,41 +323,44 @@ fn packed_gram_matches_serial_bitwise() {
 }
 
 #[test]
-fn tree_ensembles_match_reference_builder_bitwise() {
-    // The flat-slab tree builder must grow the identical ensembles the
-    // retained index-sort builder grows — same splits, thresholds, and
-    // leaves — through every Table II tree member.
-    use ld_api::Predictor as _;
+fn tree_fit_matches_reference_builder_bitwise() {
+    // The flat-slab tree builder must grow the identical tree the retained
+    // index-sort builder grows — same splits, thresholds and leaves — under
+    // every split policy and feature-subsampling setting the Table II tree
+    // members use. Each ensemble tree seeds its own RNG, so per-tree
+    // equality implies ensemble equality.
+    use ld_baselines::ml::Regressor as _;
+    use ld_baselines::tree::{DecisionTree, SplitPolicy, TreeConfig};
     let data: Vec<f64> = (0..120)
         .map(|i| 40.0 + 12.0 * ((i as f64) * 0.21).sin() + (i % 5) as f64)
         .collect();
-    let run = |reference: bool| -> Vec<f64> {
-        ld_baselines::tree::set_reference_fit(reference);
-        let mut ci = ld_baselines::CloudInsight::new(5);
-        ci.fit(&data[..90]);
-        let out: Vec<f64> = (90..120).map(|i| ci.predict(&data[..i])).collect();
-        ld_baselines::tree::set_reference_fit(false);
-        out
-    };
-    let fast = run(false);
-    let reference = run(true);
-    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-        assert_eq!(f.to_bits(), r.to_bits(), "interval {i}: {f} vs {r}");
+    let (xs, ys) = ld_baselines::features::window_dataset(&data, 8);
+    for policy in [SplitPolicy::Best, SplitPolicy::Random] {
+        for max_features in [None, Some(3)] {
+            let config = TreeConfig {
+                policy,
+                max_features,
+                ..TreeConfig::default()
+            };
+            for seed in 0..4u64 {
+                let mut fast = DecisionTree::new(config, seed);
+                fast.fit(&xs, &ys);
+                let mut reference = DecisionTree::new(config, seed);
+                reference.fit_reference(&xs, &ys);
+                let what = format!("{policy:?} max_features {max_features:?} seed {seed}");
+                assert_eq!(
+                    fast.node_count(),
+                    reference.node_count(),
+                    "{what}: node count"
+                );
+                assert_eq!(fast.depth(), reference.depth(), "{what}: depth");
+                for (i, x) in xs.iter().enumerate() {
+                    let (f, r) = (fast.predict(x), reference.predict(x));
+                    assert_eq!(f.to_bits(), r.to_bits(), "{what} row {i}: {f} vs {r}");
+                }
+            }
+        }
     }
-}
-
-#[test]
-fn parallel_gram_matches_serial_bitwise() {
-    let mut rng = StdRng::seed_from_u64(0xE0_05);
-    let x: Vec<Vec<f64>> = (0..60)
-        .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
-        .collect();
-    let kernel = Kernel::new(KernelKind::Matern52, 1.1, 0.5);
-    let serial = gram::build_serial(&kernel, &x, 1e-6);
-    let parallel = gram::build_parallel(&kernel, &x, 1e-6);
-    assert_eq!(serial.max_abs_diff(&parallel), 0.0);
-    // The shipped dispatcher agrees with both, wherever it routes.
-    assert_eq!(gram::build(&kernel, &x, 1e-6).max_abs_diff(&serial), 0.0);
 }
 
 #[test]
