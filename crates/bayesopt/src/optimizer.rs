@@ -9,6 +9,7 @@
 //! the comparator searches evaluate their candidates rayon-parallel, since
 //! each evaluation is an independent LSTM training run.
 
+use ld_faultinject::{FaultSite, Faults};
 use ld_gp::fit::{fit_auto, FitOptions};
 use ld_telemetry::Tracer;
 use rand::rngs::StdRng;
@@ -175,6 +176,7 @@ pub struct BayesianOptimizer {
     opts: BoOptions,
     telemetry: ld_telemetry::Telemetry,
     tracer: Tracer,
+    faults: Faults,
 }
 
 impl BayesianOptimizer {
@@ -186,6 +188,7 @@ impl BayesianOptimizer {
             opts,
             telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: Tracer::disabled(),
+            faults: Faults::default(),
         }
     }
 
@@ -205,6 +208,13 @@ impl BayesianOptimizer {
     /// [`TracedObjective`] evaluations so candidate training nests below.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
+        self
+    }
+
+    /// Attaches a fault plan: its counted `cholesky` site fails whole
+    /// surrogate fits, driving the random-proposal fallback.
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -240,9 +250,10 @@ impl BayesianOptimizer {
     /// land in the `gp.gram_build` / `gp.cholesky` timers and as
     /// `gram_build` / `cholesky` child spans under `surrogate_fit`
     /// (approximate attribution: the counters are process-global, so
-    /// concurrent armed fits interleave). Surrogate failures are counted
-    /// here; the caller degrades to random sampling on `None` instead of
-    /// aborting the search.
+    /// concurrent armed fits interleave). Surrogate failures — including
+    /// the `cholesky` fault site's simulated factorization failures — are
+    /// counted here; the caller degrades to random sampling on `None`
+    /// instead of aborting the search.
     fn timed_surrogate_fit(
         &self,
         tracer: &Tracer,
@@ -253,9 +264,12 @@ impl BayesianOptimizer {
         let armed = (self.telemetry.is_enabled() || tracer.is_enabled())
             .then(|| (ld_gp::sections::activate(), ld_gp::sections::totals()));
         let fit_span = tracer.span("surrogate_fit");
-        let fitted = self
-            .telemetry
-            .time("bayesopt.surrogate_fit", || fit_auto(xs, ys, opts).ok());
+        let fitted = self.telemetry.time("bayesopt.surrogate_fit", || {
+            if self.faults.hit_counted(FaultSite::CholeskyFail) {
+                return None;
+            }
+            fit_auto(xs, ys, opts).ok()
+        });
         if let Some((_guard, (gram0, chol0))) = armed {
             let (gram1, chol1) = ld_gp::sections::totals();
             let gram = gram1.saturating_sub(gram0);

@@ -12,15 +12,16 @@ use ld_bench::render::print_table;
 use ld_bench::runner::traced_baseline_lineup;
 use ld_bench::scale::ExperimentScale;
 use ld_bench::telemetry_env::{
-    dump_manifest, dump_metrics, dump_telemetry, dump_trace, faults_from_env, metrics_from_env,
+    dump_manifest, dump_metrics, dump_telemetry, dump_trace, metrics_from_env,
     telemetry_from_env, trace_from_env,
 };
+use ld_faultinject::Faults;
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::LoadDynamics;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    faults_from_env();
+    let faults = Faults::from_env(0);
     let (telemetry, telemetry_out) = telemetry_from_env();
     let (tracer, trace_out) = trace_from_env();
     let (metrics, metrics_out) = metrics_from_env();
@@ -35,7 +36,8 @@ fn main() {
         kind: WorkloadKind::Azure,
         interval_mins: 60,
     }
-    .build(0);
+    .build_reported(0, &faults)
+    .0;
     let series: Series = scale.cap_series(&raw.scaled(0.6));
     let partition = Partition::paper_default(series.len());
     let sim_config = SimConfig {
@@ -49,12 +51,12 @@ fn main() {
     // Telemetry (when LD_TELEMETRY is set) covers both the optimization and
     // the per-interval scaling decisions of the LoadDynamics run.
     eprintln!("[fig10] optimizing LoadDynamics ...");
-    let framework = LoadDynamics::new(
-        scale
-            .framework_config(0)
-            .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone()),
-    );
+    let mut config = scale
+        .framework_config(0)
+        .with_telemetry(telemetry.clone())
+        .with_tracer(tracer.clone());
+    config.faults = faults;
+    let framework = LoadDynamics::new(config);
     let outcome = framework.optimize(&series);
     let mut ld: Box<dyn Predictor> = Box::new(outcome.predictor);
     let report = simulate_traced(ld.as_mut(), &series, &sim_config, &telemetry, &tracer);

@@ -69,6 +69,7 @@ fn main() {
                 0,
                 &untraced_telemetry,
                 &candidate_guard.tracer(),
+                &ld_faultinject::Faults::default(),
             );
             (hp, out.val_mape)
         })

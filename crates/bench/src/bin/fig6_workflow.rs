@@ -10,15 +10,16 @@ use ld_api::{walk_forward, Partition};
 use ld_bench::render::print_table;
 use ld_bench::scale::ExperimentScale;
 use ld_bench::telemetry_env::{
-    dump_manifest, dump_metrics, dump_telemetry, dump_trace, faults_from_env, metrics_from_env,
+    dump_manifest, dump_metrics, dump_telemetry, dump_trace, metrics_from_env,
     telemetry_from_env, trace_from_env,
 };
+use ld_faultinject::Faults;
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{HyperParams, LoadDynamics};
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    faults_from_env();
+    let faults = Faults::from_env(0);
     let (telemetry, telemetry_out) = telemetry_from_env();
     let (tracer, trace_out) = trace_from_env();
     let (metrics, metrics_out) = metrics_from_env();
@@ -30,7 +31,8 @@ fn main() {
             kind: WorkloadKind::Lcg,
             interval_mins: 30,
         }
-        .build(0),
+        .build_reported(0, &faults)
+    .0,
     );
     let partition = Partition::paper_default(series.len());
     println!("--- Fig. 7: data partitioning (60/20/20) ---");
@@ -48,12 +50,12 @@ fn main() {
         series.len()
     );
 
-    let framework = LoadDynamics::new(
-        scale
-            .framework_config(0)
-            .with_telemetry(telemetry.clone())
-            .with_tracer(tracer.clone()),
-    );
+    let mut config = scale
+        .framework_config(0)
+        .with_telemetry(telemetry.clone())
+        .with_tracer(tracer.clone());
+    config.faults = faults;
+    let framework = LoadDynamics::new(config);
     let outcome = framework.optimize(&series);
 
     println!("--- Fig. 6 steps 1-4: train / validate / propose / select ---");

@@ -102,6 +102,7 @@ impl ExperimentScale {
             telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: ld_telemetry::Tracer::disabled(),
             deadline_secs: None,
+            faults: ld_faultinject::Faults::default(),
         }
     }
 

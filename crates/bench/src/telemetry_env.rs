@@ -31,13 +31,6 @@ pub fn telemetry_from_env() -> (Telemetry, Option<String>) {
     }
 }
 
-/// Installs a fault-injection plan from `LD_FAULT` / `LD_FAULT_SEED` (see
-/// `ld-faultinject`), reporting on stderr when one is active so a faulted
-/// run can never be mistaken for a clean one. No-op when unset.
-pub fn faults_from_env() {
-    ld_faultinject::activate_from_env(0);
-}
-
 /// Writes the snapshot to the path from [`telemetry_from_env`] (no-op when
 /// telemetry was not requested) and reports where it went on stderr.
 pub fn dump_telemetry(telemetry: &Telemetry, path: &Option<String>) {

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 
 use crate::framework::{LoadDynamics, OptimizedPredictor};
 use crate::hyperparams::HyperParams;
-use crate::pipeline::evaluate_hyperparams;
+use crate::pipeline::evaluate_hyperparams_traced;
 
 /// An ensemble of [`OptimizedPredictor`]s sharing hyperparameters but
 /// trained from different seeds; predicts the member average.
@@ -77,8 +77,16 @@ impl LoadDynamics {
                 let seed = base_seed
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     .wrapping_add(j as u64);
-                let out =
-                    evaluate_hyperparams(&series.values, &partition, hyperparams, &budget, seed);
+                let out = evaluate_hyperparams_traced(
+                    &series.values,
+                    &partition,
+                    hyperparams,
+                    &budget,
+                    seed,
+                    &ld_telemetry::Telemetry::disabled(),
+                    &ld_telemetry::Tracer::disabled(),
+                    &self.config().faults,
+                );
                 out.model.map(|model| {
                     OptimizedPredictor::from_parts(
                         format!("member{j}"),

@@ -5,6 +5,7 @@ use ld_api::{walk_forward_range, FrameworkError, Partition, Predictor, Series};
 use ld_bayesopt::{
     BayesianOptimizer, BoOptions, GridSearch, HyperOptimizer, OptResult, RandomSearch, SearchSpace,
 };
+use ld_faultinject::Faults;
 use ld_nn::LstmForecaster;
 
 use crate::hyperparams::HyperParams;
@@ -61,6 +62,9 @@ pub struct FrameworkConfig {
     /// is already set); `None` never reads the clock, keeping seeded runs
     /// bit-reproducible.
     pub deadline_secs: Option<f64>,
+    /// Fault plan for the search's `nan_loss` and `cholesky` sites. Off by
+    /// default; it afflicts only this framework's searches.
+    pub faults: Faults,
 }
 
 impl FrameworkConfig {
@@ -81,6 +85,7 @@ impl FrameworkConfig {
             tracer: ld_telemetry::Tracer::disabled(),
             // The paper's Section IV budget: three hours per configuration.
             deadline_secs: Some(3.0 * 3600.0),
+            faults: Faults::default(),
         }
     }
 
@@ -100,6 +105,7 @@ impl FrameworkConfig {
             telemetry: ld_telemetry::Telemetry::disabled(),
             tracer: ld_telemetry::Tracer::disabled(),
             deadline_secs: None,
+            faults: Faults::default(),
         }
     }
 
@@ -206,6 +212,7 @@ impl LoadDynamics {
         let budget = self.config.budget;
         let seed = self.config.seed;
         let telemetry = &self.config.telemetry;
+        let faults = &self.config.faults;
         // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into the search")
         let optimize_start = telemetry.is_enabled().then(std::time::Instant::now);
 
@@ -230,6 +237,7 @@ impl LoadDynamics {
                 seed,
                 telemetry,
                 trial_tracer,
+                faults,
             )
             .val_mape
         };
@@ -245,6 +253,7 @@ impl LoadDynamics {
                 BayesianOptimizer::new(bo_opts)
                     .with_telemetry(telemetry.clone())
                     .with_tracer(search_tracer.clone())
+                    .with_faults(faults.clone())
                     .optimize_traced(&self.config.space, &objective, self.config.max_iters, seed)
             }
             SearchStrategy::Random => RandomSearch.optimize(
@@ -291,6 +300,7 @@ impl LoadDynamics {
             seed,
             telemetry,
             &retrain_guard.tracer(),
+            faults,
         );
         drop(retrain_guard);
         drop(search_guard);
@@ -683,21 +693,17 @@ mod tests {
 
     #[test]
     fn degrades_to_baseline_when_no_candidate_survives() {
-        let _guard = ld_faultinject::test_lock();
         // Rate-1.0 NaN-loss injection: every LSTM trial diverges, so the
         // framework must fall back to the best smoothing baseline.
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(3).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
         let series = seasonal_series(220);
         let mut config = FrameworkConfig::fast_preset(3);
         config.max_iters = 4;
+        config.faults = Faults::new(ld_faultinject::FaultConfig::new(3).with_site(
+            ld_faultinject::FaultSite::NanLoss,
+            1.0,
+            None,
+        ));
         let outcome = LoadDynamics::new(config).optimize(&series);
-        ld_faultinject::reset();
 
         assert!(outcome.predictor.is_fallback());
         assert!(outcome.predictor.fallback_name().is_some());

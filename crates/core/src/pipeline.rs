@@ -10,6 +10,7 @@
 //! original units.
 
 use ld_api::{metrics, MinMaxScaler, Partition};
+use ld_faultinject::Faults;
 use ld_nn::{make_windows, Adam, LstmForecaster, Sample, TrainOptions, Trainer};
 
 use crate::hyperparams::HyperParams;
@@ -94,45 +95,27 @@ pub fn evaluate_hyperparams(
     budget: &TrainBudget,
     seed: u64,
 ) -> EvalOutcome {
-    evaluate_hyperparams_with(
-        values,
-        partition,
-        hp,
-        budget,
-        seed,
-        &ld_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`evaluate_hyperparams`] with telemetry: the candidate's wall time and
-/// validation MAPE are recorded under the `"candidate/<hyperparams>"`
-/// scope, and the inner training loop reports per-epoch events under
-/// `"trainer/<hyperparams>"`. The hyperparameter fingerprint — not arrival
-/// order — keys every event, so concurrent candidate evaluations produce
-/// deterministically ordered snapshots.
-pub fn evaluate_hyperparams_with(
-    values: &[f64],
-    partition: &Partition,
-    hp: HyperParams,
-    budget: &TrainBudget,
-    seed: u64,
-    telemetry: &ld_telemetry::Telemetry,
-) -> EvalOutcome {
     evaluate_hyperparams_traced(
         values,
         partition,
         hp,
         budget,
         seed,
-        telemetry,
+        &ld_telemetry::Telemetry::disabled(),
         &ld_telemetry::Tracer::disabled(),
+        &Faults::default(),
     )
 }
 
-/// [`evaluate_hyperparams_with`] with span tracing: the candidate's
-/// training opens a `train` span under the supplied tracer (usually already
-/// scoped to the search trial), with per-epoch children recorded by the
-/// trainer.
+/// [`evaluate_hyperparams`] with observers and a fault plan. The
+/// candidate's wall time and validation MAPE are recorded under the
+/// `"candidate/<hyperparams>"` telemetry scope, and the inner training
+/// loop reports per-epoch events under `"trainer/<hyperparams>"`; the
+/// hyperparameter fingerprint — not arrival order — keys every event, so
+/// concurrent candidate evaluations produce deterministically ordered
+/// snapshots. Training opens a `train` span under `tracer` (usually
+/// already scoped to the search trial), with per-epoch children recorded
+/// by the trainer, and draws its `nan_loss` decision from `faults`.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_hyperparams_traced(
     values: &[f64],
@@ -142,10 +125,12 @@ pub fn evaluate_hyperparams_traced(
     seed: u64,
     telemetry: &ld_telemetry::Telemetry,
     tracer: &ld_telemetry::Tracer,
+    faults: &Faults,
 ) -> EvalOutcome {
     // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into the evaluation")
     let eval_start = telemetry.is_enabled().then(std::time::Instant::now);
-    let outcome = evaluate_hyperparams_inner(values, partition, hp, budget, seed, telemetry, tracer);
+    let outcome =
+        evaluate_hyperparams_inner(values, partition, hp, budget, seed, telemetry, tracer, faults);
     if let Some(start) = eval_start {
         let wall = start.elapsed().as_secs_f64();
         telemetry.incr("framework.candidate_evals");
@@ -170,6 +155,7 @@ fn fault_key(hp: HyperParams, seed: u64) -> u64 {
         ^ hp.batch_size as u64
 }
 
+#[allow(clippy::too_many_arguments)]
 fn evaluate_hyperparams_inner(
     values: &[f64],
     partition: &Partition,
@@ -178,6 +164,7 @@ fn evaluate_hyperparams_inner(
     seed: u64,
     telemetry: &ld_telemetry::Telemetry,
     tracer: &ld_telemetry::Tracer,
+    faults: &Faults,
 ) -> EvalOutcome {
     let scaler = MinMaxScaler::fit(partition.train(values));
     let normalized = scaler.transform_all(&values[..partition.val_end]);
@@ -223,9 +210,7 @@ fn evaluate_hyperparams_inner(
     if tracer.is_enabled() {
         trainer = trainer.with_tracer(train_guard.tracer());
     }
-    if ld_faultinject::is_active() {
-        trainer = trainer.with_fault_key(fault_key(hp, seed));
-    }
+    trainer = trainer.with_faults(faults.clone(), fault_key(hp, seed));
     let mut opt = Adam::with_lr(budget.learning_rate);
     let report = trainer.fit(&mut model, &mut opt, &train_windows, &val_samples);
     drop(train_guard);
@@ -336,18 +321,23 @@ mod tests {
 
     #[test]
     fn injected_divergence_maps_to_infeasible() {
-        let _guard = ld_faultinject::test_lock();
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(5).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        let faults = Faults::new(ld_faultinject::FaultConfig::new(5).with_site(
+            ld_faultinject::FaultSite::NanLoss,
+            1.0,
+            None,
+        ));
         let values = sine_values(250);
         let partition = Partition::paper_default(values.len());
-        let out = evaluate_hyperparams(&values, &partition, hp(), &TrainBudget::tiny(), 7);
-        ld_faultinject::reset();
+        let out = evaluate_hyperparams_traced(
+            &values,
+            &partition,
+            hp(),
+            &TrainBudget::tiny(),
+            7,
+            &ld_telemetry::Telemetry::disabled(),
+            &ld_telemetry::Tracer::disabled(),
+            &faults,
+        );
         assert_eq!(out.val_mape, INFEASIBLE_MAPE);
         assert!(out.model.is_none());
     }

@@ -36,7 +36,7 @@
 //! shard-targeted events and `*` for fleet-wide ones; magnitudes are
 //! permille rates (fault/burst kinds) or tick delays (`slow_shard`).
 
-use crate::{FaultConfig, FaultSite};
+use crate::{splitmix64, FaultConfig, FaultSite};
 
 /// The five chaos families the soak harness replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -64,7 +64,7 @@ impl ChaosKind {
     ];
 
     /// Spec-string name.
-    pub fn as_str(self) -> &'static str {
+    pub fn as_str(&self) -> &str {
         match self {
             ChaosKind::SlowShard => "slow_shard",
             ChaosKind::SnapshotCorrupt => "snapshot_corrupt",
@@ -120,13 +120,6 @@ pub struct ChaosSchedule {
     horizon: u64,
     shard_count: u64,
     events: Vec<ChaosEvent>,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ChaosSchedule {
@@ -203,7 +196,7 @@ impl ChaosSchedule {
 
     /// The point-fault plan for `tick`: snapshot-corrupt, crash-write, and
     /// batch-NaN windows become site rates on a [`FaultConfig`] keyed by
-    /// the schedule seed. Empty (install nothing / reset) when no such
+    /// the schedule seed. Empty (a handle that injects nothing) when no such
     /// window is open.
     pub fn fault_plan_at(&self, tick: u64) -> FaultConfig {
         let mut plan = FaultConfig::new(self.seed ^ tick.rotate_left(29));

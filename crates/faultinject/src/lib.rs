@@ -14,7 +14,7 @@
 //! | Site | Location | Effect |
 //! |---|---|---|
 //! | [`FaultSite::NanLoss`] | `ld-nn` trainer epoch loop | epoch loss becomes NaN for afflicted trials |
-//! | [`FaultSite::CholeskyFail`] | `ld-gp` surrogate auto-fit | the whole GP fit reports `NumericalFailure` |
+//! | [`FaultSite::CholeskyFail`] | `ld-bayesopt` surrogate fit | the whole GP surrogate fit fails (random-proposal fallback) |
 //! | [`FaultSite::TraceCorrupt`] | `ld-traces` config builder | trace values become NaN / negative before sanitization |
 //! | [`FaultSite::SnapshotCorrupt`] | `ld-serve` registry rehydration | a model snapshot read back from disk is truncated/garbled |
 //! | [`FaultSite::BatchNan`] | `ld-serve` fused batch forward | one tenant's window turns NaN inside a shared batch |
@@ -27,11 +27,12 @@
 //!
 //! # Activation
 //!
-//! Injection is process-global and **off by default**: the fast path of
-//! every query is a single relaxed atomic load, and a disabled process is
-//! byte-identical to a build without the hooks. Tests activate it with
-//! [`install`] / [`reset`]; binaries activate it from the environment via
-//! [`init_from_env`]:
+//! Injection is **off by default** and never process-global: a plan is a
+//! [`Faults`] handle, passed to the code it afflicts like a span tracer.
+//! `Faults::default()` injects nothing, and a site holding it costs one
+//! `Option` check. Tests build a handle from a [`FaultConfig`] with
+//! [`Faults::new`]; binaries build theirs once from the environment with
+//! [`Faults::from_env`] and hand clones down:
 //!
 //! ```text
 //! LD_FAULT="nan_loss=0.3,cholesky=1x1,trace=0.05" LD_FAULT_SEED=42 ld-cli ...
@@ -39,18 +40,16 @@
 //!
 //! Each `site=rate[xCOUNT]` entry sets the per-key fault probability and an
 //! optional cap on total occurrences (`cholesky=1x1`: rate 1.0, at most one
-//! occurrence — "the first surrogate fit fails").
-//!
-//! Because the registry is process-global, tests that install a plan must
-//! serialize on a lock (see [`test_lock`]) and [`reset`] when done.
+//! occurrence — "the first surrogate fit fails"). Clones of one handle
+//! share its occurrence counters; a fresh handle starts them at zero.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod chaos;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The injection sites understood by the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +72,19 @@ pub enum FaultSite {
     CrashWrite,
 }
 
-const SITE_COUNT: usize = 6;
+/// Every site in [`FaultSite::index`] order, with its spec-string name and
+/// the hash salt that makes one key draw independent decisions at
+/// different sites.
+const SITES: [(FaultSite, &str, u64); 6] = [
+    (FaultSite::NanLoss, "nan_loss", 0x6E61_6E5F_6C6F_7373),
+    (FaultSite::CholeskyFail, "cholesky", 0x6368_6F6C_6573_6B79),
+    (FaultSite::TraceCorrupt, "trace", 0x7472_6163_655F_6331),
+    (FaultSite::SnapshotCorrupt, "snapshot", 0x736E_6170_5F63_7270),
+    (FaultSite::BatchNan, "batch_nan", 0x6261_7463_685F_6E61),
+    (FaultSite::CrashWrite, "crash", 0x6372_6173_685F_7772),
+];
+
+const SITE_COUNT: usize = SITES.len();
 
 impl FaultSite {
     fn index(self) -> usize {
@@ -87,42 +98,18 @@ impl FaultSite {
         }
     }
 
-    /// Per-site hash salt so the same key draws independent decisions at
-    /// different sites.
     fn salt(self) -> u64 {
-        match self {
-            FaultSite::NanLoss => 0x6E61_6E5F_6C6F_7373,
-            FaultSite::CholeskyFail => 0x6368_6F6C_6573_6B79,
-            FaultSite::TraceCorrupt => 0x7472_6163_655F_6331,
-            FaultSite::SnapshotCorrupt => 0x736E_6170_5F63_7270,
-            FaultSite::BatchNan => 0x6261_7463_685F_6E61,
-            FaultSite::CrashWrite => 0x6372_6173_685F_7772,
-        }
+        SITES[self.index()].2
     }
 
     /// Spec-string name (`nan_loss`, `cholesky`, `trace`, `snapshot`,
     /// `batch_nan`, `crash`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultSite::NanLoss => "nan_loss",
-            FaultSite::CholeskyFail => "cholesky",
-            FaultSite::TraceCorrupt => "trace",
-            FaultSite::SnapshotCorrupt => "snapshot",
-            FaultSite::BatchNan => "batch_nan",
-            FaultSite::CrashWrite => "crash",
-        }
+    pub fn as_str(&self) -> &str {
+        SITES[self.index()].1
     }
 
     fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "nan_loss" => Some(FaultSite::NanLoss),
-            "cholesky" => Some(FaultSite::CholeskyFail),
-            "trace" => Some(FaultSite::TraceCorrupt),
-            "snapshot" => Some(FaultSite::SnapshotCorrupt),
-            "batch_nan" => Some(FaultSite::BatchNan),
-            "crash" => Some(FaultSite::CrashWrite),
-            _ => None,
-        }
+        SITES.iter().find(|site| site.1 == s).map(|site| site.0)
     }
 }
 
@@ -165,8 +152,8 @@ impl FaultConfig {
         self.sites[site.index()]
     }
 
-    /// Whether no site is configured (installing such a plan injects
-    /// nothing; callers usually [`reset`] instead).
+    /// Whether no site is configured (a [`Faults`] handle built from it
+    /// injects nothing).
     pub fn is_empty(&self) -> bool {
         self.sites.iter().all(Option::is_none)
     }
@@ -206,139 +193,120 @@ impl FaultConfig {
     }
 }
 
-/// An installed plan plus per-site occurrence counters.
-struct Installed {
+/// A fault plan as a value: an immutable [`FaultConfig`] plus per-site
+/// occurrence counters, shared by every clone of the handle.
+///
+/// `Faults::default()` is off: every query answers "no fault" after one
+/// `Option` check, so an unfaulted run is byte-identical to a build without
+/// the hooks. Each site receives the handle the way it receives a
+/// `Tracer` — through the trainer, the optimizer, the framework config, the
+/// trace builder or the serving engine — so plans never leak between
+/// engines, searches or tests that share a process.
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    inner: Option<Arc<Plan>>,
+}
+
+#[derive(Debug)]
+struct Plan {
     config: FaultConfig,
     counters: [AtomicU64; SITE_COUNT],
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Mutex<Option<Installed>> {
-    static REGISTRY: OnceLock<Mutex<Option<Installed>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(None))
+impl Plan {
+    /// The keyed draw at `site`: deterministic in `(seed, site, key)`.
+    fn fires(&self, site: FaultSite, key: u64, rate: f64) -> bool {
+        unit_draw(self.config.seed, site.salt(), key) < rate
+    }
 }
 
-/// Serializes tests that install process-global fault plans. Integration
-/// tests in one binary run on multiple threads; hold this lock around
-/// [`install`] .. [`reset`] so plans never overlap.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Installs a fault plan process-wide, replacing any previous plan and
-/// resetting all occurrence counters.
-pub fn install(config: FaultConfig) {
-    let mut guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    *guard = Some(Installed {
-        config,
-        counters: Default::default(),
-    });
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Removes the installed plan; all queries return "no fault" again.
-pub fn reset() {
-    let mut guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    ACTIVE.store(false, Ordering::Release);
-    *guard = None;
-}
-
-/// A parsed, ready-to-install fault plan plus the spec it came from.
-///
-/// This is the one piece of `LD_FAULT` plumbing the workspace binaries
-/// share: fig6, fig10, `ld-cli`, and `ld-loadgen` all call
-/// [`activate_from_env`] (or build a `FaultPlan` directly) instead of
-/// each re-implementing env parsing and the "announce on stderr" courtesy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    config: FaultConfig,
-    spec: String,
-}
-
-impl FaultPlan {
-    /// Parses a spec like `"nan_loss=0.3,cholesky=1x1"` into a plan.
-    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
-        Ok(FaultPlan {
-            config: FaultConfig::parse(spec, seed)?,
-            spec: spec.trim().to_string(),
-        })
+impl Faults {
+    /// A handle injecting `config`, with fresh occurrence counters.
+    pub fn new(config: FaultConfig) -> Self {
+        Faults {
+            inner: Some(Arc::new(Plan {
+                config,
+                counters: Default::default(),
+            })),
+        }
     }
 
-    /// Builds a plan from `LD_FAULT` / `LD_FAULT_SEED`. Returns `None`
-    /// when `LD_FAULT` is unset or empty; malformed specs are reported on
-    /// stderr and ignored (a typo'd knob must not corrupt a run).
-    pub fn from_env(default_seed: u64) -> Option<Self> {
-        let spec = std::env::var("LD_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
+    /// The plan from `LD_FAULT` / `LD_FAULT_SEED` (seed defaults to
+    /// `default_seed`), announced on stderr so a faulted run can never be
+    /// mistaken for a clean one. Off when `LD_FAULT` is unset or empty;
+    /// a malformed spec is reported and ignored (a typo'd knob must not
+    /// corrupt a run).
+    pub fn from_env(default_seed: u64) -> Self {
+        let spec = std::env::var("LD_FAULT").unwrap_or_default();
+        let spec = spec.trim();
+        if spec.is_empty() {
+            return Faults::default();
         }
         let seed = std::env::var("LD_FAULT_SEED")
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(default_seed);
-        match FaultPlan::parse(&spec, seed) {
-            Ok(plan) => Some(plan),
+        match FaultConfig::parse(spec, seed) {
+            Ok(config) => {
+                eprintln!("fault injection active: LD_FAULT={spec} (seed {seed})");
+                Faults::new(config)
+            }
             Err(e) => {
                 eprintln!("LD_FAULT ignored: {e}");
-                None
+                Faults::default()
             }
         }
     }
 
-    /// The parsed configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
+    /// Whether a plan is attached.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        self.inner.is_some()
     }
 
-    /// The originating spec string.
-    pub fn spec(&self) -> &str {
-        &self.spec
+    fn site(&self, site: FaultSite) -> Option<(&Plan, SiteConfig)> {
+        let plan = self.inner.as_deref()?;
+        Some((plan, plan.config.site(site)?))
     }
 
-    /// Installs the plan process-wide and announces it on stderr, so a
-    /// faulted run can never be mistaken for a clean one.
-    pub fn activate(&self) {
-        install(self.config.clone());
-        eprintln!(
-            "fault injection active: LD_FAULT={} (seed {})",
-            self.spec, self.config.seed
-        );
+    /// Pure keyed decision: does `key` fault at `site`? Deterministic in
+    /// `(plan seed, site, key)`; ignores occurrence caps.
+    pub fn hit(&self, site: FaultSite, key: u64) -> bool {
+        self.site(site)
+            .is_some_and(|(plan, cfg)| plan.fires(site, key, cfg.rate))
     }
-}
 
-/// The one env entry point every binary uses: parse `LD_FAULT` /
-/// `LD_FAULT_SEED`, install the plan, and announce it. Returns whether a
-/// plan was activated.
-pub fn activate_from_env(default_seed: u64) -> bool {
-    match FaultPlan::from_env(default_seed) {
-        Some(plan) => {
-            plan.activate();
-            true
+    /// Counted decision: each call consumes one slot of the site's
+    /// occurrence budget; call `n` faults iff the site's keyed draw at index
+    /// `n` fires and fewer than `max` faults were already injected. All
+    /// clones of the handle share the counters. Deterministic as long as
+    /// the site is consulted in a deterministic order (the BO surrogate
+    /// loop is sequential).
+    pub fn hit_counted(&self, site: FaultSite) -> bool {
+        let Some((plan, cfg)) = self.site(site) else {
+            return false;
+        };
+        let n = plan.counters[site.index()].fetch_add(1, Ordering::Relaxed);
+        cfg.max.is_none_or(|max| n < max) && plan.fires(site, n, cfg.rate)
+    }
+
+    /// Corrupts `v` if `key` faults at `site`: half the afflicted keys
+    /// become NaN, half become `-(v + 1)` (strictly negative even at
+    /// `v = 0`), so both repair paths of the sanitizer are exercised.
+    pub fn corrupt_value(&self, site: FaultSite, key: u64, v: f64) -> f64 {
+        let Some((plan, cfg)) = self.site(site) else {
+            return v;
+        };
+        if !plan.fires(site, key, cfg.rate) {
+            return v;
         }
-        None => false,
-    }
-}
-
-/// Installs a plan from `LD_FAULT` / `LD_FAULT_SEED` if `LD_FAULT` is set
-/// and non-empty, without the stderr announcement (tests). Returns whether
-/// a plan was installed.
-pub fn init_from_env(default_seed: u64) -> bool {
-    match FaultPlan::from_env(default_seed) {
-        Some(plan) => {
-            install(plan.config.clone());
-            true
+        // Decorrelate the corruption mode from the hit decision.
+        if splitmix64(plan.config.seed ^ site.salt() ^ key.wrapping_mul(3)) & 1 == 0 {
+            f64::NAN
+        } else {
+            -(v + 1.0)
         }
-        None => false,
     }
-}
-
-/// Whether any plan is installed. One relaxed atomic load — instrumented
-/// hot paths gate on this before doing anything else.
-#[inline]
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// `splitmix64` — the finalizer used to turn `(seed, salt, key)` into an
@@ -357,128 +325,82 @@ fn unit_draw(seed: u64, salt: u64, key: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn with_site<T>(site: FaultSite, f: impl FnOnce(&Installed, SiteConfig) -> T) -> Option<T> {
-    if !is_active() {
-        return None;
-    }
-    let guard = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let installed = guard.as_ref()?;
-    let cfg = installed.config.site(site)?;
-    Some(f(installed, cfg))
-}
-
-/// Pure keyed decision: does `key` fault at `site`? Deterministic in
-/// `(installed seed, site, key)`; ignores occurrence caps.
-pub fn fault_hit(site: FaultSite, key: u64) -> bool {
-    with_site(site, |installed, cfg| {
-        unit_draw(installed.config.seed, site.salt(), key) < cfg.rate
-    })
-    .unwrap_or(false)
-}
-
-/// Counted decision: each call consumes one slot of the site's occurrence
-/// budget; call `n` faults iff the site's keyed draw at index `n` fires and
-/// fewer than `max` faults were already injected. Deterministic as long as
-/// the site is consulted in a deterministic order (the BO surrogate loop
-/// is sequential).
-pub fn fault_hit_counted(site: FaultSite) -> bool {
-    with_site(site, |installed, cfg| {
-        let n = installed.counters[site.index()].fetch_add(1, Ordering::Relaxed);
-        if let Some(max) = cfg.max {
-            if n >= max {
-                return false;
-            }
-        }
-        unit_draw(installed.config.seed, site.salt(), n) < cfg.rate
-    })
-    .unwrap_or(false)
-}
-
-/// Corrupts `v` if `key` faults at `site`: half the afflicted keys become
-/// NaN, half become `-(v + 1)` (strictly negative even at `v = 0`), so both
-/// repair paths of the sanitizer are exercised.
-pub fn corrupt_value(site: FaultSite, key: u64, v: f64) -> f64 {
-    if !fault_hit(site, key) {
-        return v;
-    }
-    // Decorrelate the corruption mode from the hit decision.
-    let mode = with_site(site, |installed, _| {
-        splitmix64(installed.config.seed ^ site.salt() ^ key.wrapping_mul(3)) & 1
-    })
-    .unwrap_or(0);
-    if mode == 0 {
-        f64::NAN
-    } else {
-        -(v + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global; every test serializes on `test_lock`.
-
     #[test]
-    fn disabled_by_default_and_after_reset() {
-        let _guard = test_lock();
-        reset();
-        assert!(!is_active());
-        assert!(!fault_hit(FaultSite::NanLoss, 7));
-        assert!(!fault_hit_counted(FaultSite::CholeskyFail));
-        assert_eq!(corrupt_value(FaultSite::TraceCorrupt, 0, 5.0), 5.0);
+    fn disabled_by_default() {
+        let off = Faults::default();
+        assert!(!off.is_active());
+        assert!(!off.hit(FaultSite::NanLoss, 7));
+        assert!(!off.hit_counted(FaultSite::CholeskyFail));
+        assert_eq!(off.corrupt_value(FaultSite::TraceCorrupt, 0, 5.0), 5.0);
+        // An attached but empty plan is active and still injects nothing.
+        let empty = Faults::new(FaultConfig::new(3));
+        assert!(empty.is_active());
+        assert!(!empty.hit(FaultSite::NanLoss, 7));
+        assert!(!empty.hit_counted(FaultSite::CholeskyFail));
     }
 
     #[test]
     fn decisions_are_deterministic_and_rate_accurate() {
-        let _guard = test_lock();
-        install(FaultConfig::new(42).with_site(FaultSite::NanLoss, 0.3, None));
-        let first: Vec<bool> = (0..10_000).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
-        let second: Vec<bool> = (0..10_000).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
+        let faults = Faults::new(FaultConfig::new(42).with_site(FaultSite::NanLoss, 0.3, None));
+        let first: Vec<bool> = (0..10_000).map(|k| faults.hit(FaultSite::NanLoss, k)).collect();
+        let second: Vec<bool> = (0..10_000).map(|k| faults.hit(FaultSite::NanLoss, k)).collect();
         assert_eq!(first, second);
         let hits = first.iter().filter(|&&b| b).count();
         assert!(
             (2700..3300).contains(&hits),
             "expected ~30% of 10k keys, got {hits}"
         );
-        reset();
     }
 
     #[test]
     fn different_seeds_afflict_different_keys() {
-        let _guard = test_lock();
-        install(FaultConfig::new(1).with_site(FaultSite::NanLoss, 0.3, None));
-        let a: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
-        install(FaultConfig::new(2).with_site(FaultSite::NanLoss, 0.3, None));
-        let b: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::NanLoss, k)).collect();
+        // Both plans are live at once: neither handle sees the other.
+        let one = Faults::new(FaultConfig::new(1).with_site(FaultSite::NanLoss, 0.3, None));
+        let two = Faults::new(FaultConfig::new(2).with_site(FaultSite::NanLoss, 0.3, None));
+        let draw = |f: &Faults| -> Vec<bool> {
+            (0..512).map(|k| f.hit(FaultSite::NanLoss, k)).collect()
+        };
+        let (a, b) = (draw(&one), draw(&two));
         assert_ne!(a, b);
-        reset();
+        assert_eq!(draw(&one), a, "a second live plan must not disturb the first");
     }
 
     #[test]
     fn counted_site_respects_occurrence_cap() {
-        let _guard = test_lock();
-        install(FaultConfig::new(0).with_site(FaultSite::CholeskyFail, 1.0, Some(2)));
-        let hits: Vec<bool> = (0..10).map(|_| fault_hit_counted(FaultSite::CholeskyFail)).collect();
+        let capped = || FaultConfig::new(0).with_site(FaultSite::CholeskyFail, 1.0, Some(2));
+        let faults = Faults::new(capped());
+        let hits: Vec<bool> = (0..10)
+            .map(|_| faults.hit_counted(FaultSite::CholeskyFail))
+            .collect();
         assert_eq!(hits.iter().filter(|&&b| b).count(), 2);
         assert!(hits[0] && hits[1], "cap consumes the first calls at rate 1");
-        reset();
+
+        // Two clones share one budget; a fresh handle starts its own.
+        let shared = Faults::new(capped());
+        let clone = shared.clone();
+        assert!(shared.hit_counted(FaultSite::CholeskyFail));
+        assert!(clone.hit_counted(FaultSite::CholeskyFail));
+        assert!(!shared.hit_counted(FaultSite::CholeskyFail));
+        assert!(!clone.hit_counted(FaultSite::CholeskyFail));
     }
 
     #[test]
     fn corrupt_value_produces_nan_and_negatives() {
-        let _guard = test_lock();
-        install(FaultConfig::new(9).with_site(FaultSite::TraceCorrupt, 1.0, None));
-        let out: Vec<f64> = (0..64).map(|k| corrupt_value(FaultSite::TraceCorrupt, k, 10.0)).collect();
+        let faults = Faults::new(FaultConfig::new(9).with_site(FaultSite::TraceCorrupt, 1.0, None));
+        let out: Vec<f64> = (0..64)
+            .map(|k| faults.corrupt_value(FaultSite::TraceCorrupt, k, 10.0))
+            .collect();
         assert!(out.iter().any(|v| v.is_nan()));
         assert!(out.iter().any(|v| *v < 0.0));
         assert!(out.iter().all(|v| v.is_nan() || *v < 0.0));
-        reset();
     }
 
     #[test]
     fn serve_sites_parse_and_draw_independently() {
-        let _guard = test_lock();
         let parsed = FaultConfig::parse("snapshot=1x1, batch_nan=0.4", 5).unwrap();
         assert_eq!(
             parsed.site(FaultSite::SnapshotCorrupt),
@@ -490,16 +412,24 @@ mod tests {
         );
         // Distinct salts: the same keys must not fault identically at the
         // two new sites when both run at the same rate.
-        install(
+        let faults = Faults::new(
             FaultConfig::new(11)
                 .with_site(FaultSite::SnapshotCorrupt, 0.4, None)
                 .with_site(FaultSite::BatchNan, 0.4, None),
         );
-        let snap: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::SnapshotCorrupt, k)).collect();
-        let nan: Vec<bool> = (0..512).map(|k| fault_hit(FaultSite::BatchNan, k)).collect();
+        let snap: Vec<bool> = (0..512).map(|k| faults.hit(FaultSite::SnapshotCorrupt, k)).collect();
+        let nan: Vec<bool> = (0..512).map(|k| faults.hit(FaultSite::BatchNan, k)).collect();
         assert_ne!(snap, nan);
         assert!(snap.iter().any(|&b| b) && nan.iter().any(|&b| b));
-        reset();
+    }
+
+    #[test]
+    fn site_table_follows_index_order() {
+        for (i, &(site, name, _)) in SITES.iter().enumerate() {
+            assert_eq!(site.index(), i);
+            assert_eq!(FaultSite::from_str(name), Some(site));
+            assert_eq!(site.as_str(), name);
+        }
     }
 
     #[test]

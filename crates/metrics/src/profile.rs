@@ -123,7 +123,17 @@ mod tests {
                 batch_guard.tracer().record_span("request", batch, 10, 0);
             }
         }
-        tracer.snapshot()
+        // Fixed tick and batch durations, so two builds are equal trees with
+        // equal durations however the host schedules them.
+        let mut trace = tracer.snapshot();
+        for span in &mut trace.spans {
+            span.dur_ns = match span.path.len() {
+                1 => 1_000,
+                2 => 100,
+                _ => span.dur_ns,
+            };
+        }
+        trace
     }
 
     #[test]

@@ -192,10 +192,10 @@ pub struct Trainer {
     telemetry: ld_telemetry::Telemetry,
     scope: String,
     tracer: ld_telemetry::Tracer,
-    /// Deterministic key for the fault-injection `nan_loss` site; `None`
-    /// leaves injection off for this trainer even when the harness is
-    /// active.
-    fault_key: Option<u64>,
+    /// Fault plan for the `nan_loss` site (off by default) and the
+    /// deterministic key this run draws its decision with.
+    faults: ld_faultinject::Faults,
+    fault_key: u64,
 }
 
 impl Trainer {
@@ -208,16 +208,18 @@ impl Trainer {
             telemetry: ld_telemetry::Telemetry::disabled(),
             scope: String::new(),
             tracer: ld_telemetry::Tracer::disabled(),
-            fault_key: None,
+            faults: ld_faultinject::Faults::default(),
+            fault_key: 0,
         }
     }
 
     /// Arms the deterministic `nan_loss` fault-injection site for this
     /// trainer. Whether this particular run is afflicted is a pure function
-    /// of `key` and the installed harness config, so searches replay
-    /// identically. A no-op while the harness is inactive.
-    pub fn with_fault_key(mut self, key: u64) -> Self {
-        self.fault_key = Some(key);
+    /// of `key` and the plan in `faults`, so searches replay identically.
+    /// A no-op with `Faults::default()`.
+    pub fn with_faults(mut self, faults: ld_faultinject::Faults, key: u64) -> Self {
+        self.faults = faults;
+        self.fault_key = key;
         self
     }
 
@@ -291,10 +293,9 @@ impl Trainer {
         // Deterministic per-run fault decision: an afflicted run reports a
         // non-finite loss every epoch, so it exercises the full
         // rollback-then-give-up path of the watchdog.
-        let inject_nan = self.fault_key.is_some_and(|k| {
-            ld_faultinject::is_active()
-                && ld_faultinject::fault_hit(ld_faultinject::FaultSite::NanLoss, k)
-        });
+        let inject_nan = self
+            .faults
+            .hit(ld_faultinject::FaultSite::NanLoss, self.fault_key);
 
         let telemetry_on = self.telemetry.is_enabled();
         let trace_on = self.tracer.is_enabled();
@@ -756,8 +757,7 @@ mod tests {
 
     #[test]
     fn injected_nan_loss_drives_run_to_divergence() {
-        let _guard = ld_faultinject::test_lock();
-        ld_faultinject::install(
+        let faults = ld_faultinject::Faults::new(
             ld_faultinject::FaultConfig::new(11).with_site(
                 ld_faultinject::FaultSite::NanLoss,
                 1.0,
@@ -773,20 +773,12 @@ mod tests {
             max_divergence_retries: 1,
             ..TrainOptions::default()
         })
-        .with_fault_key(3);
+        .with_faults(faults, 3);
         let mut opt = Adam::with_lr(0.1);
         let report = trainer.fit(&mut model, &mut opt, &train, &[]);
-        ld_faultinject::reset();
         assert!(report.diverged, "rate-1.0 injection must afflict the run");
         assert_eq!(report.rollbacks, 1);
-        // Without a fault key the same harness config leaves training alone.
-        ld_faultinject::install(
-            ld_faultinject::FaultConfig::new(11).with_site(
-                ld_faultinject::FaultSite::NanLoss,
-                1.0,
-                None,
-            ),
-        );
+        // A trainer without the handle trains normally alongside it.
         let mut clean = FlakyModel::new(0);
         let trainer = Trainer::new(TrainOptions {
             batch_size: 16,
@@ -795,7 +787,6 @@ mod tests {
             ..TrainOptions::default()
         });
         let report = trainer.fit(&mut clean, &mut opt, &train, &[]);
-        ld_faultinject::reset();
         assert!(!report.diverged);
         assert_eq!(report.rollbacks, 0);
     }

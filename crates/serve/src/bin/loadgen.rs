@@ -45,7 +45,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ld_api::MinMaxScaler;
-use ld_faultinject::chaos::ChaosSchedule;
+use ld_faultinject::{chaos::ChaosSchedule, Faults};
 use ld_metrics::{Metrics, SloConfig, SloTracker, SpanProfile};
 use ld_nn::{
     make_windows, Adam, AdamConfig, ForecasterConfig, LstmForecaster, TrainOptions, Trainer,
@@ -77,6 +77,8 @@ struct Cfg {
     out: Option<String>,
     metrics_out: Option<String>,
     store_root: PathBuf,
+    /// `LD_FAULT` plan for the non-chaos phases (off under `--chaos`).
+    faults: Faults,
 }
 
 /// Availability objective the batched throughput pass is scored against.
@@ -211,6 +213,7 @@ fn parse_args() -> Result<Cfg, i32> {
         out: out.or_else(|| (!smoke).then(|| default_out.to_string())),
         metrics_out,
         store_root,
+        faults: Faults::default(),
     })
 }
 
@@ -281,7 +284,7 @@ fn train_family_models(cfg: &Cfg) -> Vec<(LstmForecaster, Vec<f64>)> {
                 kind,
                 interval_mins: kind.intervals()[0],
             };
-            let series = trace.build(cfg.seed ^ (f as u64)).values;
+            let series = trace.build_reported(cfg.seed ^ (f as u64), &cfg.faults).0.values;
             let scaler = MinMaxScaler::fit(&series);
             let scaled: Vec<f64> = series.iter().map(|&v| scaler.transform(v)).collect();
             let samples = make_windows(&scaled, hist);
@@ -345,8 +348,9 @@ fn engine_for(
     capacity_per_shard: usize,
     store: SnapshotStore,
     tracer: Tracer,
+    faults: &Faults,
 ) -> ServeEngine {
-    ServeEngine::new(
+    let mut engine = ServeEngine::new(
         EngineConfig {
             mode,
             queue_capacity,
@@ -358,7 +362,9 @@ fn engine_for(
         },
         store,
         tracer,
-    )
+    );
+    engine.set_faults(faults.clone());
+    engine
 }
 
 fn provision_all(
@@ -457,14 +463,14 @@ fn run_pass(
 }
 
 fn main() {
-    let cfg = match parse_args() {
+    let mut cfg = match parse_args() {
         Ok(cfg) => cfg,
         Err(code) => std::process::exit(code),
     };
     if !cfg.chaos {
-        // The chaos soak owns the fault registry tick by tick; an ambient
-        // LD_FAULT plan would fight the schedule.
-        ld_faultinject::activate_from_env(cfg.seed);
+        // The chaos soak sets the engine's fault plan tick by tick; an
+        // ambient LD_FAULT plan would fight the schedule.
+        cfg.faults = Faults::from_env(cfg.seed);
     }
 
     println!(
@@ -499,6 +505,7 @@ fn main() {
         per_shard_full,
         open_store(&cfg.store_root, "serial"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut serial_engine, &tenants, &families);
     let serial = run_pass(&mut serial_engine, &tenants, cfg.ticks, history_len, None, 0);
@@ -512,6 +519,7 @@ fn main() {
         per_shard_full,
         open_store(&cfg.store_root, "batched"),
         Tracer::disabled(),
+        &cfg.faults,
     )
     .with_metrics(Metrics::enabled());
     provision_all(&mut batched_engine, &tenants, &families);
@@ -571,6 +579,7 @@ fn main() {
             det_tenants.len().max(1),
             open_store(&cfg.store_root, &format!("determinism-{run}")),
             Tracer::enabled(),
+            &cfg.faults,
         )
         .with_metrics(metrics);
         provision_all(&mut engine, det_tenants, &families);
@@ -622,6 +631,7 @@ fn main() {
         per_shard_full,
         open_store(&cfg.store_root, "overload"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut shed_engine, &tenants, &families);
     let shed_ticks = cfg.ticks.min(4);
@@ -663,6 +673,7 @@ fn main() {
         cache_capacity,
         open_store(&cfg.store_root, "cache"),
         Tracer::disabled(),
+        &cfg.faults,
     );
     provision_all(&mut cache_engine, &tenants, &families);
     let cache_ticks = cfg.ticks.min(4);
@@ -913,12 +924,7 @@ fn run_chaos_pass(
     for tick in 0..cfg.ticks {
         let t = tick as u64;
         if let Some(s) = schedule {
-            let plan = s.fault_plan_at(t);
-            if plan.is_empty() {
-                ld_faultinject::reset();
-            } else {
-                ld_faultinject::install(plan);
-            }
+            engine.set_faults(Faults::new(s.fault_plan_at(t)));
             engine.set_shard_delays(&s.slow_shards_at(t));
         }
         let shed_before = pass.shed;
@@ -955,7 +961,7 @@ fn run_chaos_pass(
             if s.crash_window_ends_at(t) {
                 // A crash window just closed: run the startup-style
                 // recovery pass and count what it quarantined.
-                ld_faultinject::reset();
+                engine.set_faults(Faults::default());
                 let report = engine.recover_store().expect("store recovery");
                 pass.quarantined += (report.quarantined_torn + report.quarantined_corrupt) as u64;
             }
@@ -965,7 +971,7 @@ fn run_chaos_pass(
     // Settle: chaos off, serve out every parked retry/deferral. Bounded —
     // max backoff and deferral are a handful of ticks, so a non-draining
     // queue here is a hang, which is exactly what the bound catches.
-    ld_faultinject::reset();
+    engine.set_faults(Faults::default());
     engine.set_shard_delays(&[]);
     let mut settle = 0u64;
     while engine.pending_work() > 0 {

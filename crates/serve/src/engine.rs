@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 
 use ld_api::Predictor as _;
+use ld_faultinject::{FaultSite, Faults};
 use ld_metrics::Metrics;
 use ld_nn::{BatchScratch, LstmForecaster};
 use ld_telemetry::Tracer;
@@ -256,6 +257,9 @@ pub struct ServeEngine {
     cache_seen: RegistryStats,
     trips_seen: u64,
     drains_seen: u64,
+    /// Fault plan for the `batch_nan` site (the store holds a clone for
+    /// its own sites). Off by default.
+    faults: Faults,
 }
 
 impl ServeEngine {
@@ -284,7 +288,16 @@ impl ServeEngine {
             cache_seen: RegistryStats::default(),
             trips_seen: 0,
             drains_seen: 0,
+            faults: Faults::default(),
         }
+    }
+
+    /// Replaces the fault plan of the engine (`batch_nan`) and of its
+    /// snapshot store (`snapshot`, `crash`). `Faults::default()` turns
+    /// injection off; a fresh handle restarts the occurrence counters.
+    pub fn set_faults(&mut self, faults: Faults) {
+        self.store.set_faults(faults.clone());
+        self.faults = faults;
     }
 
     /// Attaches a metrics handle (builder style, like the tracer). The
@@ -527,12 +540,10 @@ impl ServeEngine {
                         let n = snap.history_len();
                         let fingerprint = snap.fingerprint();
                         let mut window = scaled_window(&item.req.history, n, scaler);
-                        if ld_faultinject::is_active()
-                            && ld_faultinject::fault_hit(
-                                ld_faultinject::FaultSite::BatchNan,
-                                item.req.key.stable_hash() ^ tick_idx.rotate_left(23),
-                            )
-                        {
+                        if self.faults.hit(
+                            FaultSite::BatchNan,
+                            item.req.key.stable_hash() ^ tick_idx.rotate_left(23),
+                        ) {
                             // Simulated upstream poison: the lane's scaled
                             // window arrives non-finite.
                             window[0] = f64::NAN;

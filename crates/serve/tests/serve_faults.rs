@@ -5,7 +5,7 @@
 //! fault-free run.
 
 use ld_api::MinMaxScaler;
-use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
+use ld_faultinject::{FaultConfig, FaultSite, Faults};
 use ld_nn::{ForecasterConfig, LstmForecaster};
 use ld_serve::{
     BreakerConfig, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
@@ -103,19 +103,17 @@ fn by_id(responses: &[Response]) -> BTreeMap<u64, &Response> {
 
 #[test]
 fn corrupt_rehydration_degrades_victim_without_poisoning_neighbors() {
-    let _guard = test_lock();
-    reset();
-
     // Tight registry: each full-fleet tick evicts and rehydrates, so the
     // SnapshotCorrupt site actually fires on the load path.
     let (mut clean_eng, keys, histories) = build_engine("snap-clean", 3);
     let clean = run(&mut clean_eng, &keys, &histories, 3);
 
-    install(FaultConfig::new(0xfa_417).with_site(FaultSite::SnapshotCorrupt, 0.5, None));
     let (mut faulty_eng, _, _) = build_engine("snap-faulty", 3);
+    faulty_eng.set_faults(Faults::new(
+        FaultConfig::new(0xfa_417).with_site(FaultSite::SnapshotCorrupt, 0.5, None),
+    ));
     let faulty = run(&mut faulty_eng, &keys, &histories, 3);
     let stats = faulty_eng.stats();
-    reset();
 
     assert_eq!(clean.len(), faulty.len());
     assert!(
@@ -152,17 +150,15 @@ fn corrupt_rehydration_degrades_victim_without_poisoning_neighbors() {
 
 #[test]
 fn batch_nan_degrades_only_the_poisoned_lane() {
-    let _guard = test_lock();
-    reset();
-
     let (mut clean_eng, keys, histories) = build_engine("nan-clean", 64);
     let clean = run(&mut clean_eng, &keys, &histories, 4);
     assert!(clean.iter().all(|r| !r.degraded));
 
-    install(FaultConfig::new(0xbad_5eed).with_site(FaultSite::BatchNan, 0.25, None));
     let (mut faulty_eng, _, _) = build_engine("nan-faulty", 64);
+    faulty_eng.set_faults(Faults::new(
+        FaultConfig::new(0xbad_5eed).with_site(FaultSite::BatchNan, 0.25, None),
+    ));
     let faulty = run(&mut faulty_eng, &keys, &histories, 4);
-    reset();
 
     assert_eq!(clean.len(), faulty.len());
     let degraded: Vec<u64> = faulty.iter().filter(|r| r.degraded).map(|r| r.id).collect();
@@ -199,18 +195,14 @@ fn batch_nan_degrades_only_the_poisoned_lane() {
 
 #[test]
 fn fault_free_runs_stay_identical_after_a_plan_is_reset() {
-    let _guard = test_lock();
-    reset();
-
     let (mut a_eng, keys, histories) = build_engine("reset-a", 64);
     let a = run(&mut a_eng, &keys, &histories, 2);
 
-    // Install and tear down a plan without running anything under it; a
-    // subsequent run must not remember it.
-    install(FaultConfig::new(1).with_site(FaultSite::BatchNan, 1.0, None));
-    reset();
-
+    // Set and clear a plan without running anything under it; the engine
+    // must not remember it.
     let (mut b_eng, _, _) = build_engine("reset-b", 64);
+    b_eng.set_faults(Faults::new(FaultConfig::new(1).with_site(FaultSite::BatchNan, 1.0, None)));
+    b_eng.set_faults(Faults::default());
     let b = run(&mut b_eng, &keys, &histories, 2);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {

@@ -12,13 +12,17 @@
 //!   `failure_threshold` consecutive failures, admits exactly one probe
 //!   per tick while half-open, and closes only on a full success streak;
 //! - retry backoff is deterministic and bounded, and the queue bound
-//!   holds even while transient faults keep parking retries.
+//!   holds even while transient faults keep parking retries;
+//! - a fault plan afflicts only the engine it is set on, even while a
+//!   clean engine serves concurrently on another thread.
 
 use ld_api::MinMaxScaler;
+use ld_faultinject::{FaultConfig, FaultSite, Faults};
 use ld_nn::{ForecasterConfig, LstmForecaster};
 use ld_serve::{
-    Breaker, BreakerConfig, BreakerState, ClientKey, EngineConfig, ExecMode, LifecycleConfig,
-    ModelSnapshot, RegistryConfig, Request, RetryPolicy, Route, ServeEngine, SnapshotStore,
+    response_digest, Breaker, BreakerConfig, BreakerState, ClientKey, EngineConfig, ExecMode,
+    LifecycleConfig, ModelSnapshot, RegistryConfig, RegistryStats, Request, RetryPolicy, Route,
+    ServeEngine, SnapshotStore,
 };
 use ld_telemetry::Tracer;
 use std::collections::BTreeSet;
@@ -175,23 +179,38 @@ fn shard_count_is_constant_under_churn() {
     assert!(eng.stats().cache.evictions > 0, "capacity 1 must churn");
 }
 
+/// Every tenant asks every tick for 8 ticks, then the engine settles, with
+/// `capacity` residents per shard under `faults`. Returns the cache
+/// accounting, the answers served and their digest.
+fn accounting_run(label: &str, capacity: usize, faults: Faults) -> (RegistryStats, u64, u64) {
+    let (mut eng, keys, histories) = provisioned_engine(label, 41, 15, 64, 4, capacity);
+    eng.set_faults(faults);
+    let mut responses = Vec::new();
+    for tick in 0..8 {
+        for (i, key) in keys.iter().enumerate() {
+            eng.submit(Request::new(
+                (tick * keys.len() + i) as u64,
+                key.clone(),
+                histories[i].clone(),
+            ))
+            .expect("no shed in this schedule");
+        }
+        responses.extend(eng.tick());
+    }
+    while eng.pending_work() > 0 {
+        responses.extend(eng.tick());
+    }
+    assert!(
+        eng.registry().resident() <= eng.shard_count() * capacity,
+        "residency above capacity ({label})"
+    );
+    (eng.stats().cache, responses.len() as u64, response_digest(&responses))
+}
+
 #[test]
 fn cache_accounting_is_conserved() {
     for (label, capacity) in [("acct-roomy", 64usize), ("acct-tight", 2)] {
-        let (mut eng, keys, histories) = provisioned_engine(label, 41, 15, 64, 4, capacity);
-        let mut resolved = 0u64;
-        for tick in 0..8 {
-            for (i, key) in keys.iter().enumerate() {
-                eng.submit(Request::new(
-                    (tick * keys.len() + i) as u64,
-                    key.clone(),
-                    histories[i].clone(),
-                ))
-                .expect("no shed in this schedule");
-            }
-            resolved += eng.tick().len() as u64;
-        }
-        let cache = eng.stats().cache;
+        let (cache, resolved, _) = accounting_run(label, capacity, Faults::default());
         assert_eq!(
             cache.hits + cache.misses,
             resolved,
@@ -200,10 +219,6 @@ fn cache_accounting_is_conserved() {
         assert!(
             cache.rehydrations + cache.corrupt_rehydrations <= cache.misses,
             "rehydrations can only come from misses ({label}: {cache:?})"
-        );
-        assert!(
-            eng.registry().resident() <= eng.shard_count() * capacity,
-            "residency above capacity ({label})"
         );
         if capacity == 2 {
             assert!(cache.evictions > 0 && cache.rehydrations > 0, "{label}: {cache:?}");
@@ -371,22 +386,13 @@ fn retry_backoff_is_deterministic_and_bounded() {
 /// neither overflow the queue nor leak requests.
 #[test]
 fn queue_bound_holds_under_retry_pressure() {
-    let _guard = ld_faultinject::test_lock();
-    ld_faultinject::reset();
-
     let bound = 10usize;
     // Tight registry (capacity 1 per shard) so every tick rehydrates from
     // disk, and a 60% SnapshotCorrupt plan so many of those rehydrations
     // fail transiently and park retries.
     let (mut eng, keys, histories) =
         provisioned_engine("retry-bound", 57, 12, bound, 4, 1);
-    ld_faultinject::install(
-        ld_faultinject::FaultConfig::new(0x7e57_5eed).with_site(
-            ld_faultinject::FaultSite::SnapshotCorrupt,
-            0.6,
-            None,
-        ),
-    );
+    eng.set_faults(corrupt_plan());
 
     let mut submitted = 0u64;
     let mut answered = 0u64;
@@ -419,6 +425,37 @@ fn queue_bound_holds_under_retry_pressure() {
         assert!(settle <= 32, "retry settle must terminate");
         answered += eng.tick().len() as u64;
     }
-    ld_faultinject::reset();
     assert_eq!(answered + shed, submitted, "every request answered xor shed");
+}
+
+/// The 60% `SnapshotCorrupt` plan the retry and isolation tests share.
+fn corrupt_plan() -> Faults {
+    Faults::new(FaultConfig::new(0x7e57_5eed).with_site(FaultSite::SnapshotCorrupt, 0.6, None))
+}
+
+/// Fault plans are values: an engine running a 60% corrupt plan on one
+/// thread leaves a fault-free engine on another thread untouched, answer
+/// for answer.
+#[test]
+fn faulted_engine_does_not_afflict_a_concurrent_clean_engine() {
+    let (solo, _, solo_digest) = accounting_run("iso-solo", 2, Faults::default());
+    assert_eq!(solo.corrupt_rehydrations, 0);
+    assert!(solo.rehydrations > 0, "the schedule must rehydrate: {solo:?}");
+
+    let start = std::sync::Barrier::new(2);
+    let ((faulty, ..), (clean, _, clean_digest)) = std::thread::scope(|scope| {
+        let faulty = scope.spawn(|| {
+            start.wait();
+            accounting_run("iso-faulty", 2, corrupt_plan())
+        });
+        let clean = scope.spawn(|| {
+            start.wait();
+            accounting_run("iso-clean", 2, Faults::default())
+        });
+        (faulty.join().expect("faulty engine"), clean.join().expect("clean engine"))
+    });
+    assert!(faulty.corrupt_rehydrations > 0, "the plan must fire: {faulty:?}");
+    assert_eq!(clean.corrupt_rehydrations, 0, "plan leaked: {clean:?}");
+    assert_eq!(clean, solo);
+    assert_eq!(clean_digest, solo_digest, "clean answers changed beside a faulted engine");
 }

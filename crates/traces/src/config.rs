@@ -6,6 +6,7 @@
 //! single day and uses only 5/10.
 
 use ld_api::Series;
+use ld_faultinject::{FaultSite, Faults};
 
 use crate::generators;
 
@@ -90,19 +91,19 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// Builds the configuration's series by generating the base trace and
-    /// aggregating to the configured interval.
-    ///
-    /// When the [`ld_faultinject`] `trace` site is active, values are
-    /// deterministically corrupted (NaN / negatives keyed off the seed) and
-    /// then repaired through [`Series::sanitized`] — the harness's way of
-    /// exercising the ingestion repair path on otherwise-valid traces.
+    /// aggregating to the configured interval. Always clean; see
+    /// [`TraceConfig::build_reported`] for the faulted path.
     pub fn build(&self, seed: u64) -> Series {
-        self.build_reported(seed).0
+        self.build_reported(seed, &Faults::default()).0
     }
 
-    /// [`TraceConfig::build`] that also returns what (if anything) the
-    /// sanitizer repaired after fault injection.
-    pub fn build_reported(&self, seed: u64) -> (Series, ld_api::SanitizeReport) {
+    /// [`TraceConfig::build`] under a fault plan. When `faults` is active,
+    /// values are deterministically corrupted at its `trace` site (NaN /
+    /// negatives keyed off the seed) and then repaired through
+    /// [`Series::sanitized`] — the harness's way of exercising the
+    /// ingestion repair path on otherwise-valid traces. Also returns what
+    /// (if anything) the sanitizer repaired.
+    pub fn build_reported(&self, seed: u64, faults: &Faults) -> (Series, ld_api::SanitizeReport) {
         let base = self.kind.generate_base(seed);
         assert_eq!(
             self.interval_mins % base.interval_mins,
@@ -114,17 +115,14 @@ impl TraceConfig {
         let factor = (self.interval_mins / base.interval_mins) as usize;
         let mut s = base.aggregate(factor);
         s.name = self.label();
-        if ld_faultinject::is_active() {
+        if faults.is_active() {
             let corrupted: Vec<f64> = s
                 .values
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| {
-                    ld_faultinject::corrupt_value(
-                        ld_faultinject::FaultSite::TraceCorrupt,
-                        seed.rotate_left(17) ^ i as u64,
-                        v,
-                    )
+                    let key = seed.rotate_left(17) ^ i as u64;
+                    faults.corrupt_value(FaultSite::TraceCorrupt, key, v)
                 })
                 .collect();
             let (repaired, report) = Series::sanitized(s.name.clone(), s.interval_mins, corrupted)

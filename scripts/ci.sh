@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate for the workspace: release build, the tier-1 test suite, the
-# kernel crates' suites at two test-thread counts, the
+# CI gate for the workspace: release build, the tier-1 test suite, every
+# crate's tests under three schedules, the release serving suites, the
 # ld-perfbench smoke run (kernel equivalence asserts + bench schema check),
 # the ld-lint static-analysis gate (report left in target/lint-report.json),
 # and a warning-free clippy pass. Run from the repository root:
@@ -19,19 +19,17 @@ fi
 echo "=== cargo test -q ==="
 cargo test -q
 
-echo "=== kernel crate suites (linalg, gp, baselines) at default and one test thread ==="
-# These crates own the kernel dispatchers and their oracles; their unit
-# tests and proptests must pass under any test schedule.
-cargo test -q -p ld-linalg -p ld-gp -p ld-baselines
-cargo test -q -p ld-linalg -p ld-gp -p ld-baselines -- --test-threads=1
+echo "=== cargo test --workspace at default threads, one test thread, and one core ==="
+# Every crate's tests, under three schedules: no test may depend on
+# process-global state another test changes, nor on the core count.
+cargo test -q --workspace
+cargo test -q --workspace -- --test-threads=1
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test -q --workspace
+fi
 
-echo "=== fault-injection & robustness suites ==="
-cargo test -q -p ld-faultinject
-cargo test -q --test fault_injection --test adversarial_inputs
-
-echo "=== serving suites (pipeline equivalence, properties, fault isolation) ==="
+echo "=== serving suites in release (pipeline equivalence, properties, fault isolation) ==="
 cargo test -q --release -p ld-serve
-cargo test -q --release -p ld-perfbench --test compare_gate
 
 echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression gate) ==="
 # Tolerance 1.8: every row times its before/after legs interleaved

@@ -32,6 +32,7 @@
 
 use ld_api::{predict_horizon, walk_forward, Partition, Predictor, Series};
 use ld_baselines::{CloudInsight, CloudScale, WoodPredictor};
+use ld_faultinject::Faults;
 use ld_metrics::Metrics;
 use ld_telemetry::{RunManifest, Telemetry, TraceSnapshot, Tracer};
 use ld_traces::all_configurations;
@@ -191,9 +192,10 @@ fn framework(
     fast: bool,
     telemetry: &Telemetry,
     tracer: &Tracer,
+    faults: &Faults,
 ) -> LoadDynamics {
     // Scale effort to the series size unless --fast is given.
-    let config = if fast || series_len < 600 {
+    let mut config = if fast || series_len < 600 {
         FrameworkConfig::fast_preset(0)
     } else {
         let mut c = FrameworkConfig::fast_preset(0);
@@ -208,6 +210,7 @@ fn framework(
         };
         c
     };
+    config.faults = faults.clone();
     LoadDynamics::new(
         config
             .with_telemetry(telemetry.clone())
@@ -215,12 +218,12 @@ fn framework(
     )
 }
 
-fn cmd_generate(label: &str, out: &str) {
+fn cmd_generate(label: &str, out: &str, faults: &Faults) {
     let Some(config) = all_configurations().into_iter().find(|c| c.label() == label) else {
         eprintln!("unknown configuration '{label}' — see `ld-cli list`");
         std::process::exit(1);
     };
-    let series = config.build(0);
+    let series = config.build_reported(0, faults).0;
     std::fs::write(out, series.to_text()).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
@@ -257,6 +260,7 @@ fn cmd_optimize(
     telemetry_out: Option<&str>,
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
+    faults: &Faults,
 ) {
     let series = read_series(path);
     println!(
@@ -268,7 +272,7 @@ fn cmd_optimize(
     let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
     let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
     let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), fast, &telemetry, &tracer).optimize(&series);
+    let outcome = framework(series.len(), fast, &telemetry, &tracer, faults).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     println!("selected hyperparameters: {}", outcome.hyperparams);
     println!("cross-validation MAPE:    {:.2}%", outcome.val_mape);
@@ -307,12 +311,13 @@ fn cmd_predict(
     telemetry_out: Option<&str>,
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
+    faults: &Faults,
 ) {
     let series = read_series(path);
     let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
     let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
     let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), false, &telemetry, &tracer).optimize(&series);
+    let outcome = framework(series.len(), false, &telemetry, &tracer, faults).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     eprintln!(
         "tuned {} (val MAPE {:.1}%)",
@@ -358,6 +363,7 @@ fn cmd_evaluate(
     telemetry_out: Option<&str>,
     trace_out: Option<&str>,
     metrics_out: Option<&str>,
+    faults: &Faults,
 ) {
     let series = read_series(path);
     let partition = Partition::paper_default(series.len());
@@ -368,7 +374,7 @@ fn cmd_evaluate(
     let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
     let tracer = trace_out.map_or_else(Tracer::disabled, |_| Tracer::enabled());
     let metrics = metrics_out.map_or_else(Metrics::disabled, |_| Metrics::enabled());
-    let outcome = framework(series.len(), false, &telemetry, &tracer).optimize(&series);
+    let outcome = framework(series.len(), false, &telemetry, &tracer, faults).optimize(&series);
     record_search_metrics(&metrics, &outcome);
     let hyperparams = outcome.hyperparams;
     let mut rows: Vec<(String, f64)> = Vec::new();
@@ -503,18 +509,19 @@ fn cmd_metrics_validate(metrics_path: &str, exposition_path: Option<&str>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Opt-in fault injection for resilience drills (LD_FAULT / LD_FAULT_SEED).
-    ld_faultinject::activate_from_env(0);
+    let faults = Faults::from_env(0);
     let telemetry_out = telemetry_path(&args);
     let trace_out = trace_out_path(&args);
     let metrics_out = metrics_out_path(&args);
     match args.first().map(String::as_str) {
-        Some("generate") if args.len() == 3 => cmd_generate(&args[1], &args[2]),
+        Some("generate") if args.len() == 3 => cmd_generate(&args[1], &args[2], &faults),
         Some("optimize") if args.len() >= 2 => cmd_optimize(
             &args[1],
             args.iter().any(|a| a == "--fast"),
             telemetry_out.as_deref(),
             trace_out.as_deref(),
             metrics_out.as_deref(),
+            &faults,
         ),
         Some("predict") if args.len() >= 2 => {
             let horizon = args
@@ -528,6 +535,7 @@ fn main() {
                 telemetry_out.as_deref(),
                 trace_out.as_deref(),
                 metrics_out.as_deref(),
+                &faults,
             )
         }
         Some("evaluate") if args.len() >= 2 => cmd_evaluate(
@@ -535,6 +543,7 @@ fn main() {
             telemetry_out.as_deref(),
             trace_out.as_deref(),
             metrics_out.as_deref(),
+            &faults,
         ),
         Some("trace-validate") if args.len() >= 2 => {
             cmd_trace_validate(&args[1], args.get(2).map(String::as_str))

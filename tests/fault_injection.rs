@@ -4,11 +4,11 @@
 //! finish without panicking, record what failed in telemetry, and still
 //! hand back a usable finite-MAPE predictor.
 //!
-//! Fault plans are process-global, so every test serializes on
-//! [`ld_faultinject::test_lock`] and uninstalls its plan before asserting.
+//! Each test passes its own [`Faults`] handle, so plans never reach a
+//! concurrently running test.
 
 use ld_api::{Predictor, Series};
-use ld_faultinject::{install, reset, test_lock, FaultConfig, FaultSite};
+use ld_faultinject::{FaultConfig, FaultSite, Faults};
 use ld_telemetry::Telemetry;
 use ld_traces::{TraceConfig, WorkloadKind};
 use loaddynamics::{FrameworkConfig, LoadDynamics, OptimizationOutcome};
@@ -25,27 +25,27 @@ fn seasonal_series(len: usize) -> Series {
     )
 }
 
-/// The ISSUE acceptance scenario: NaN losses on ~30% of trials plus one
-/// forced Cholesky failure. Caller must hold the test lock.
-fn faulted_plan() -> FaultConfig {
-    FaultConfig::new(17)
-        .with_site(FaultSite::NanLoss, 0.3, None)
-        .with_site(FaultSite::CholeskyFail, 1.0, Some(1))
+/// The acceptance scenario: NaN losses on ~30% of trials plus one forced
+/// Cholesky failure, as a fresh handle (fresh occurrence counters).
+fn faulted_plan() -> Faults {
+    Faults::new(
+        FaultConfig::new(17)
+            .with_site(FaultSite::NanLoss, 0.3, None)
+            .with_site(FaultSite::CholeskyFail, 1.0, Some(1)),
+    )
 }
 
 fn run_faulted(telemetry: Telemetry) -> OptimizationOutcome {
     let mut config = FrameworkConfig::fast_preset(7).with_telemetry(telemetry);
     config.max_iters = MAX_ITERS;
+    config.faults = faulted_plan();
     LoadDynamics::new(config).optimize(&seasonal_series(240))
 }
 
 #[test]
 fn search_survives_nan_losses_and_a_cholesky_failure() {
-    let _guard = test_lock();
-    install(faulted_plan());
     let telemetry = Telemetry::enabled();
     let outcome = run_faulted(telemetry.clone());
-    reset();
 
     // The search completed its full budget and produced a usable model.
     assert!(outcome.val_mape.is_finite());
@@ -73,12 +73,8 @@ fn search_survives_nan_losses_and_a_cholesky_failure() {
 
 #[test]
 fn faulted_search_is_deterministic() {
-    let _guard = test_lock();
-    install(faulted_plan());
     let a = run_faulted(Telemetry::disabled());
-    install(faulted_plan());
     let b = run_faulted(Telemetry::disabled());
-    reset();
 
     assert_eq!(a.hyperparams, b.hyperparams);
     assert_eq!(a.val_mape.to_bits(), b.val_mape.to_bits());
@@ -90,14 +86,12 @@ fn faulted_search_is_deterministic() {
 
 #[test]
 fn total_divergence_degrades_to_baseline_fallback() {
-    let _guard = test_lock();
-    install(FaultConfig::new(3).with_site(FaultSite::NanLoss, 1.0, None));
     let telemetry = Telemetry::enabled();
     let mut config = FrameworkConfig::fast_preset(3).with_telemetry(telemetry.clone());
     config.max_iters = 4;
+    config.faults = Faults::new(FaultConfig::new(3).with_site(FaultSite::NanLoss, 1.0, None));
     let series = seasonal_series(240);
     let outcome = LoadDynamics::new(config).optimize(&series);
-    reset();
 
     assert!(outcome.predictor.is_fallback());
     assert!(outcome.predictor.fallback_name().is_some());
@@ -116,14 +110,12 @@ fn total_divergence_degrades_to_baseline_fallback() {
 
 #[test]
 fn corrupted_trace_values_are_sanitized_on_ingest() {
-    let _guard = test_lock();
     let config = TraceConfig {
         kind: WorkloadKind::Wikipedia,
         interval_mins: 30,
     };
-    install(FaultConfig::new(42).with_site(FaultSite::TraceCorrupt, 0.05, None));
-    let (series, report) = config.build_reported(0);
-    reset();
+    let faults = Faults::new(FaultConfig::new(42).with_site(FaultSite::TraceCorrupt, 0.05, None));
+    let (series, report) = config.build_reported(0, &faults);
 
     assert!(
         !report.is_clean(),
@@ -131,30 +123,35 @@ fn corrupted_trace_values_are_sanitized_on_ingest() {
     );
     assert!(series.values.iter().all(|v| v.is_finite() && *v >= 0.0));
 
-    // Without a plan installed, the same build is clean and untouched.
-    let (clean, clean_report) = config.build_reported(0);
+    // Without a plan, the same build is clean and untouched.
+    let (clean, clean_report) = config.build_reported(0, &Faults::default());
     assert!(clean_report.is_clean());
+    assert_eq!(clean.values, config.build(0).values);
     assert_eq!(clean.len(), series.len());
     assert!(clean.values.iter().zip(&series.values).any(|(a, b)| a != b));
 }
 
 #[test]
 fn ld_fault_env_knobs_install_a_plan() {
-    let _guard = test_lock();
+    // No other test in this binary reads the LD_FAULT variables.
     std::env::set_var("LD_FAULT", "nan_loss=0.5,cholesky=1x1");
     std::env::set_var("LD_FAULT_SEED", "9");
-    let installed = ld_faultinject::init_from_env(0);
+    let faults = Faults::from_env(0);
     std::env::remove_var("LD_FAULT");
     std::env::remove_var("LD_FAULT_SEED");
-    assert!(installed);
-    assert!(ld_faultinject::is_active());
-    reset();
-    assert!(!ld_faultinject::is_active());
+    assert!(faults.is_active());
+    // Same spec, same seed: the same keys are afflicted.
+    let want = Faults::new(FaultConfig::parse("nan_loss=0.5,cholesky=1x1", 9).unwrap());
+    for key in 0..256 {
+        assert_eq!(faults.hit(FaultSite::NanLoss, key), want.hit(FaultSite::NanLoss, key));
+    }
+    assert!(faults.hit_counted(FaultSite::CholeskyFail));
+    assert!(!faults.hit_counted(FaultSite::CholeskyFail));
 
-    // A malformed spec is rejected without installing anything.
+    // Unset, or a malformed spec: the handle is off.
+    assert!(!Faults::from_env(0).is_active());
     std::env::set_var("LD_FAULT", "nan_loss=banana");
-    let installed = ld_faultinject::init_from_env(0);
+    let faults = Faults::from_env(0);
     std::env::remove_var("LD_FAULT");
-    assert!(!installed);
-    assert!(!ld_faultinject::is_active());
+    assert!(!faults.is_active());
 }
