@@ -70,13 +70,11 @@ pub struct CloudInsight {
     /// How many recent errors per member inform selection.
     pub eval_window: usize,
     /// Member count at or above which the fit/predict pool sweeps run
-    /// member-parallel — and only when more than one rayon worker exists:
-    /// on a single-thread pool the par_iter plumbing is pure overhead
-    /// (measured as the cloudinsight-window row dipping below 1x), so
-    /// single-core hosts always sweep serially. Each worker owns one
-    /// member and its own output slot, so results are bitwise identical
-    /// to the serial sweep — this is purely a performance knob
-    /// (`usize::MAX` forces serial, `0` lifts the size restriction).
+    /// member-parallel (on a one-core host the rayon shim runs the chunks
+    /// on the caller). Each worker owns one member and its own output
+    /// slot, so results are bitwise identical to the serial sweep — this
+    /// is purely a performance knob (`usize::MAX` forces serial, `0` lifts
+    /// the size restriction).
     pub parallel_threshold: usize,
     errors: Vec<VecDeque<f64>>,
     /// Member predictions awaiting their actual, and the interval index
@@ -214,7 +212,7 @@ impl Predictor for CloudInsight {
                 errs.push_back(e);
             }
         };
-        if self.members.len() >= self.parallel_threshold && rayon::current_num_threads() > 1 {
+        if self.members.len() >= self.parallel_threshold {
             let work: Vec<_> = self
                 .members
                 .iter_mut()
@@ -251,7 +249,7 @@ impl Predictor for CloudInsight {
         let _sweep_guard = self.tracer.span_at("cloudinsight.predict", history.len() as u64);
         let sanitize = |p: f64| if p.is_finite() { p } else { 0.0 };
         let mut preds = vec![0.0; self.members.len()];
-        if self.members.len() >= self.parallel_threshold && rayon::current_num_threads() > 1 {
+        if self.members.len() >= self.parallel_threshold {
             let work: Vec<(&mut Box<dyn Predictor>, &mut f64)> =
                 self.members.iter_mut().zip(preds.iter_mut()).collect();
             work.into_par_iter().for_each(|(member, slot)| {

@@ -247,7 +247,7 @@ impl Matrix {
             }
         };
 
-        if flops >= PAR_FLOP_THRESHOLD && rayon::current_num_threads() > 1 {
+        if flops >= PAR_FLOP_THRESHOLD {
             out.par_chunks_mut(n)
                 .enumerate()
                 .for_each(|(r, out_row)| row_kernel(r, out_row));
@@ -305,11 +305,7 @@ impl Matrix {
             crate::pack::pack_a_into(&self.data, m, k, apack);
             crate::pack::pack_b_into(&rhs.data, k, n, bpack);
             let (a_panels, b_panels) = (&apack[..], &bpack[..]);
-            if k > 0
-                && n > 0
-                && flops >= PAR_FLOP_THRESHOLD
-                && rayon::current_num_threads() > 1
-            {
+            if k > 0 && n > 0 && flops >= PAR_FLOP_THRESHOLD {
                 // One strip = the rows covered by one packed-A panel; each
                 // worker runs the serial kernel on its own panel, so every
                 // output element keeps its single ascending-`k` accumulator.

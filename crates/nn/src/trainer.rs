@@ -620,6 +620,40 @@ mod tests {
     }
 
     #[test]
+    fn refits_are_bitwise_equal_on_warm_dirty_worker_scratch() {
+        // Pool workers outlive a fit, so their thread-local workspaces
+        // carry the previous fit's buffers (here: a different shape) into
+        // the next one. None of it may leak into the result. Weights and
+        // report compare as text: f64 JSON and `Debug` output round-trip
+        // exactly, so equal text means equal bits.
+        let series = sine_series(150);
+        let fit = |history_len: usize, hidden_size: usize, num_layers: usize| {
+            let samples = make_windows(&series, history_len);
+            let (train, val) = samples.split_at(110);
+            let mut model = LstmForecaster::new(ForecasterConfig {
+                history_len,
+                hidden_size,
+                num_layers,
+                seed: 21,
+            });
+            let trainer = Trainer::new(TrainOptions {
+                batch_size: 12,
+                max_epochs: 6,
+                patience: 0,
+                ..TrainOptions::default()
+            });
+            let mut opt = Adam::with_lr(4e-3);
+            let report = trainer.fit(&mut model, &mut opt, train, val);
+            (model.to_json(), format!("{report:?}"))
+        };
+        let first = fit(6, 7, 2);
+        for _ in 0..2 {
+            fit(3, 11, 1);
+            assert_eq!(fit(6, 7, 2), first);
+        }
+    }
+
+    #[test]
     fn lr_decay_schedule_still_learns() {
         let series = sine_series(160);
         let samples = make_windows(&series, 6);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the workspace: release build, the tier-1 test suite, every
 # crate's tests under three schedules, the release serving suites, the
-# ld-perfbench smoke run (kernel equivalence asserts + bench schema check),
+# ld-perfbench smoke run at default threads and on one core (kernel
+# equivalence asserts + bench schema check + regression gate),
 # the ld-lint static-analysis gate (report left in target/lint-report.json),
 # and a warning-free clippy pass. Run from the repository root:
 #
@@ -37,8 +38,15 @@ echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression g
 # the remaining run-to-run noise is leg-local jitter. The widest swing
 # observed across repeated smoke runs vs the committed full baseline is
 # ~1.5x (lstm-bptt); 1.8 leaves margin while still failing on any real
-# kernel regression.
+# kernel regression. The gate runs at the host's default thread count and
+# again pinned to one core, so it holds at both. On a 2-vCPU Xeon the
+# train-epoch row measured 2.20-2.51x at 2 cores and 2.65-2.69x pinned
+# (committed 2.28x); at 2 cores its fast leg (0.38-0.42 ms) beat the pinned
+# run (0.50 ms). Spawning threads per parallel call, it measured 1.16-1.80x.
 cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
+fi
 
 echo "=== ld-loadgen --smoke (serve replay: equivalence, determinism, shed, cache, metrics) ==="
 mkdir -p target
