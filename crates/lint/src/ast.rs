@@ -1,7 +1,7 @@
 //! A recursive-descent parser over [`crate::lexer`]'s token stream.
 //!
-//! The token engine (PR 3) reasons about the workspace as a flat token
-//! stream, which is exact about *what is code* but blind to *structure*: it
+//! The token-pattern rules reason about a file as a flat token stream,
+//! which is exact about *what is code* but blind to *structure*: it
 //! cannot tell which expression a cast applies to, which closure a mutation
 //! lives in, or which function an unwrap is reachable from. This module
 //! parses the stream into a real item/expression AST with token spans so
@@ -17,12 +17,10 @@
 //!    [`FileAst::errors`]. The golden test asserts `errors` is empty for
 //!    every workspace source file.
 //! 2. **Coverage-tracked**: every token the parser consumed as expression
-//!    *structure* is marked in [`FileAst::covered`]. The AST engine re-runs
-//!    the legacy token matchers over *uncovered* tokens only (macro bodies,
-//!    attributes, types, signatures, skipped items), which is what keeps
-//!    the AST engine's legacy-rule output identical to the token engine's:
-//!    structural contexts are matched on the AST, lexical contexts fall
-//!    back to the oracle's own patterns.
+//!    *structure* is marked in [`FileAst::covered`]. The semantic rules see
+//!    only covered tokens; the rest (macro bodies, attributes, types,
+//!    signatures, skipped items) is visible to the token-pattern rules
+//!    alone, so the parser-golden test keeps a floor on the covered share.
 //! 3. **Span-exact**: expressions carry half-open token-index spans, and
 //!    tokens carry byte offsets, so `--fix` can splice rewrites without
 //!    re-lexing.
@@ -49,7 +47,9 @@ pub struct FileAst {
     /// Recovered parse failures (empty on every workspace file).
     pub errors: Vec<ParseError>,
     /// `covered[i]` is true when token `i` was consumed as expression
-    /// structure (operator, operand, keyword) rather than opaquely.
+    /// structure (operator, operand, keyword) rather than opaquely. Only
+    /// covered tokens are visible to the semantic rules; the parser-golden
+    /// test asserts a floor on the covered share across the workspace.
     pub covered: Vec<bool>,
 }
 

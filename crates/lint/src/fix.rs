@@ -1,9 +1,10 @@
 //! Machine-applicable fixes (`ld-lint --fix`).
 //!
 //! A fix is a byte-range edit derived from the AST, proposed only where an
-//! *active* violation exists (suppressed and baselined sites are left
-//! alone — their justification is a human decision the tool must not
-//! override). Two rewrites are machine-applicable today:
+//! unsuppressed violation exists (suppressed sites are left alone — their
+//! justification is a human decision the tool must not override). Macro
+//! bodies are opaque to the parser, so findings inside them are reported
+//! but never rewritten. Two rewrites are machine-applicable today:
 //!
 //! - `float-ord`: `a.partial_cmp(b).unwrap()` → `a.total_cmp(b)` — the
 //!   exact replacement the rule's fix hint prescribes. Only the `.unwrap()`
@@ -41,9 +42,9 @@ pub struct Edit {
     pub rule: &'static str,
 }
 
-/// Plans fixes for one file. `wanted` filters to sites with an active
-/// violation: `wanted(rule, line)` must return true for an edit to be
-/// proposed.
+/// Plans fixes for one file. `wanted` filters to sites with an
+/// unsuppressed violation: `wanted(rule, line)` must return true for an
+/// edit to be proposed.
 pub fn plan_fixes(
     ctx: &FileContext<'_>,
     ast: &FileAst,

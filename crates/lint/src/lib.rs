@@ -15,14 +15,19 @@
 //! - [`rules`]: the invariant catalog — `float-ord`, `nan-compare`,
 //!   `determinism`, `unwrap-in-core`, `lossy-cast`, `unsafe-block` — each
 //!   with an `--explain` rationale tied to the framework's fault model,
-//! - [`engine`]: file discovery over `crates/*/src/**/*.rs`, test-span
-//!   detection, inline suppressions
+//! - [`ast`], [`dataflow`], [`semantic`]: a parser, a forward dataflow
+//!   solver, and the four semantic rules (`determinism-taint`,
+//!   `panic-path`, `range-cast`, `rayon-capture`) built on them,
+//! - [`engine`]: file discovery over the root package's `src/**/*.rs` and
+//!   `crates/*/src/**/*.rs`, test-span detection, and inline suppressions
 //!   (`// ld-lint: allow(<rule>, "<justification>")` — the justification
-//!   is mandatory), and a snippet-fingerprinted baseline,
+//!   is mandatory); each file is lexed and parsed once and every rule runs
+//!   over that one pass,
+//! - [`fix`]: machine-applicable rewrites for `--fix`,
 //! - [`report`]: human and JSON rendering.
 //!
 //! The binary (`cargo run -p ld-lint -- --deny`) gates CI; the library API
-//! lets the tier-1 integration test run the same scan in-process.
+//! lets the crate's integration tests run the same scan in-process.
 
 pub mod ast;
 pub mod dataflow;
@@ -34,7 +39,7 @@ pub mod rules;
 pub mod semantic;
 
 pub use engine::{
-    find_workspace_root, load_baseline, render_baseline, scan_source, scan_workspace,
-    BaselineEntry, EngineKind, FileScan, ScanReport, StaleSuppression, Violation,
+    find_workspace_root, scan_source, scan_workspace, FileScan, ScanReport, StaleSuppression,
+    Violation,
 };
 pub use rules::{all_rules, rule_by_id, Rule};

@@ -1,34 +1,22 @@
-//! Per-rule positive/negative fixtures for the legacy six rules: every
-//! rule must fire on the exact pattern it documents and stay silent on the
-//! sanctioned alternative. Each fixture scans under BOTH engines and
-//! asserts they agree on the legacy rules — a per-pattern differential
-//! check on top of the workspace-wide one.
+//! Per-rule positive/negative fixtures for the six token-pattern rules:
+//! every rule must fire on the exact pattern it documents and stay silent
+//! on the sanctioned alternative.
 
-use ld_lint::engine::EngineKind;
 use ld_lint::{rule_by_id, scan_source};
 
-fn legacy_rules(rel_path: &str, src: &str, engine: EngineKind) -> Vec<(u32, String)> {
-    scan_source(rel_path, src, engine)
+/// Token-pattern rule ids firing on `src` when scanned at `rel_path`, in
+/// source order (semantic rules are filtered out).
+fn fired(rel_path: &str, src: &str) -> Vec<String> {
+    scan_source(rel_path, src)
         .violations
         .into_iter()
         .filter(|v| rule_by_id(&v.rule).is_none_or(|r| !r.semantic))
-        .map(|v| (v.line, v.rule))
+        .map(|v| v.rule)
         .collect()
 }
 
-/// Legacy rule ids firing on `src` when scanned at `rel_path`, in source
-/// order, identical under both engines.
-fn fired(rel_path: &str, src: &str) -> Vec<String> {
-    let ast = legacy_rules(rel_path, src, EngineKind::Ast);
-    let token = legacy_rules(rel_path, src, EngineKind::Token);
-    assert_eq!(ast, token, "engines disagree on the legacy rules");
-    token.into_iter().map(|(_, rule)| rule).collect()
-}
-
-/// Suppressed-violation count for `src` at `rel_path` (token engine, so
-/// counts cover exactly the legacy rules).
 fn suppressed(rel_path: &str, src: &str) -> usize {
-    scan_source(rel_path, src, EngineKind::Token).suppressed
+    scan_source(rel_path, src).suppressed
 }
 
 const NEUTRAL: &str = "crates/autoscale/src/policy.rs";
@@ -67,6 +55,21 @@ fn float_ord_silent_on_checked_partial_cmp() {
     // Handling the None case explicitly is fine — only the unwrap is banned.
     let src = "fn f(a: f64, b: f64) -> bool { matches!(a.partial_cmp(&b), Some(std::cmp::Ordering::Less)) }";
     assert!(fired(NEUTRAL, src).is_empty());
+}
+
+#[test]
+fn structural_rules_fire_inside_macro_bodies() {
+    // The parser consumes macro bodies opaquely; the token matchers must
+    // still see every pattern written inside one.
+    for (src, rule) in [
+        ("fn f(a: f64, b: f64) { assert!(a.partial_cmp(&b).unwrap().is_lt()); }", "float-ord"),
+        ("fn f(y: f64) { debug_assert!(y != y); }", "nan-compare"),
+        ("fn f(x: f64) -> bool { matches!(x == f64::NAN, true) }", "nan-compare"),
+        ("fn f(x: f64) -> Vec<usize> { vec![x.round() as usize] }", "lossy-cast"),
+        ("fn f() -> String { format!(\"{}\", 2.5 as u32) }", "lossy-cast"),
+    ] {
+        assert_eq!(fired(NEUTRAL, src), [rule], "{src}");
+    }
 }
 
 #[test]

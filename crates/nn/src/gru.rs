@@ -701,7 +701,8 @@ mod tests {
 
         let zero = model.zero_grads();
         let eps = 1e-5;
-        for slot in 0..model.param_count() {
+        assert_eq!(analytic.len(), model.param_count());
+        for (slot, &an) in analytic.iter().enumerate() {
             let perturb = |dir: f64| {
                 let mut p = model.clone();
                 let mut seen = 0usize;
@@ -717,9 +718,8 @@ mod tests {
             };
             let fd = (perturb(1.0) - perturb(-1.0)) / (2.0 * eps);
             assert!(
-                (fd - analytic[slot]).abs() < 1e-5,
-                "slot {slot}: fd {fd} vs analytic {}",
-                analytic[slot]
+                (fd - an).abs() < 1e-5,
+                "slot {slot}: fd {fd} vs analytic {an}"
             );
         }
     }

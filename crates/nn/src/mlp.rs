@@ -209,7 +209,8 @@ mod tests {
 
         let zero = model.zero_grads();
         let eps = 1e-6;
-        for slot in 0..model.param_count() {
+        assert_eq!(analytic.len(), model.param_count());
+        for (slot, &an) in analytic.iter().enumerate() {
             let mut plus = model.clone();
             let mut seen = 0;
             plus.visit_params(&zero, &mut |p, _| {
@@ -232,9 +233,8 @@ mod tests {
             let lm = (minus.predict(&w) - target).powi(2);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
-                (fd - analytic[slot]).abs() < 1e-6,
-                "slot {slot}: fd {fd} vs {}",
-                analytic[slot]
+                (fd - an).abs() < 1e-6,
+                "slot {slot}: fd {fd} vs {an}"
             );
         }
     }

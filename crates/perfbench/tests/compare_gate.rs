@@ -4,7 +4,7 @@
 //! in `--smoke` mode with doctored baselines.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bench_bin() -> &'static str {
@@ -31,7 +31,7 @@ fn write_baseline(name: &str, kernels: &[(&str, f64)]) -> PathBuf {
     path
 }
 
-fn run_compare(baseline: &PathBuf, tolerance: &str) -> std::process::Output {
+fn run_compare(baseline: &Path, tolerance: &str) -> std::process::Output {
     Command::new(bench_bin())
         .args([
             "--smoke",

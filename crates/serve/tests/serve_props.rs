@@ -246,7 +246,7 @@ fn breaker_opens_after_exactly_n_consecutive_failures() {
             if b.state() == BreakerState::Open {
                 break;
             }
-            let ok = splitmix64(seed ^ step.rotate_left(13)) % 3 == 0;
+            let ok = splitmix64(seed ^ step.rotate_left(13)).is_multiple_of(3);
             assert_eq!(b.route(step), Route::Model, "closed breaker admits");
             b.record(step, ok);
             consecutive = if ok { 0 } else { consecutive + 1 };
@@ -320,8 +320,7 @@ fn breaker_closes_only_on_a_full_success_streak() {
         let mut b = Breaker::new(cfg);
         b.route(0);
         b.record(0, false);
-        let mut now = 1u64;
-        for n in 1..=streak {
+        for (n, now) in (1..=streak).zip(1u64..) {
             assert_eq!(b.route(now), Route::Probe, "streak {streak} probe {n}");
             b.record(now, true);
             if n < streak {
@@ -333,7 +332,6 @@ fn breaker_closes_only_on_a_full_success_streak() {
             } else {
                 assert_eq!(b.state(), BreakerState::Closed, "streak {streak} complete");
             }
-            now += 1;
         }
 
         // Same dance, but the last probe fails: back to Open, streak reset.

@@ -4,7 +4,8 @@
 # ld-perfbench smoke run at default threads and on one core (kernel
 # equivalence asserts + bench schema check + regression gate),
 # the ld-lint static-analysis gate (report left in target/lint-report.json),
-# and a warning-free clippy pass. Run from the repository root:
+# and a warning-free clippy pass over every target, tests included. Run
+# from the repository root:
 #
 #     ./scripts/ci.sh
 #
@@ -67,7 +68,7 @@ rm -f target/ci-trace.json target/ci-trace.json.folded target/ci-trace.json.mani
 LD_FAST=1 LD_TRACE=target/ci-trace.json cargo run -q --release -p ld-bench --bin fig6_workflow > /dev/null
 cargo run -q --release --bin ld-cli -- trace-validate target/ci-trace.json target/ci-trace.json.manifest.json
 
-echo "=== ld-lint --deny (static analysis gate, schema_version 2) ==="
+echo "=== ld-lint --deny (static analysis gate, schema_version 3) ==="
 mkdir -p target
 cargo run -q -p ld-lint -- --deny --format json > target/lint-report.json
 cargo run -q -p ld-lint -- --check-report target/lint-report.json
@@ -80,11 +81,7 @@ case "$fix_out" in
     *) echo "ci.sh: --fix --dry-run proposed edits on a supposedly clean tree" >&2; exit 1 ;;
 esac
 
-if [ -f ld-lint.baseline.json ]; then
-    echo "ci.sh: warning: ld-lint.baseline.json exists again — the debt ledger was burned to zero, keep it that way" >&2
-fi
-
-echo "=== cargo clippy --workspace -- -D warnings ==="
-cargo clippy --workspace -- -D warnings
+echo "=== cargo clippy --workspace --all-targets -- -D warnings ==="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "ci.sh: all green"
