@@ -219,6 +219,38 @@ mod tests {
     }
 
     #[test]
+    fn splitting_the_lanes_never_changes_a_bit() {
+        // Each lane is its own output column of the plain-lane GEMM, so
+        // any split of a batch into sub-ranges answers exactly what the
+        // whole batch answers: the parallel serving tick relies on it.
+        // Cuts straddle the kernel's 8-lane register block.
+        let batch = 20;
+        for layers in 1..=3usize {
+            let m = model(40 + layers as u64, layers);
+            let t_len = m.config().history_len;
+            let ws = windows(batch, t_len, 1.7 * layers as f64);
+            let run = |lanes: std::ops::Range<usize>| {
+                let mut out = vec![0.0; lanes.len()];
+                let slab = &ws[lanes.start * t_len..lanes.end * t_len];
+                m.predict_batch_fused(slab, lanes.len(), &mut BatchScratch::new(), &mut out);
+                out
+            };
+            let whole = run(0..batch);
+            let cuts = [1, 7, 8, 9, batch - 1];
+            let mut splits: Vec<Vec<usize>> = cuts.iter().map(|&c| vec![c]).collect();
+            splits.push(cuts.to_vec());
+            for split in splits {
+                let mut bounds = vec![0];
+                bounds.extend(&split);
+                bounds.push(batch);
+                let parts: Vec<f64> = bounds.windows(2).flat_map(|w| run(w[0]..w[1])).collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&parts), bits(&whole), "layers {layers}, cuts {split:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fused_matches_workspace_path_to_1e12() {
         let m = model(29, 2);
         let t_len = m.config().history_len;

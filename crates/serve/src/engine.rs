@@ -8,7 +8,10 @@
 //! `(model shape, weight fingerprint)`. Each group becomes one fused
 //! batched LSTM forward
 //! ([`ld_nn::LstmForecaster::predict_batch_fused`]): one blocked GEMM per
-//! gate block instead of one mat-vec per tenant per step.
+//! gate block instead of one mat-vec per tenant per step. The groups are
+//! independent, so a tick computes all of them in one parallel call on the
+//! rayon shim's pool; resolve before it and response building after it
+//! stay sequential.
 //!
 //! # Determinism contract
 //!
@@ -19,6 +22,12 @@
 //! breaker transitions advance on logical ticks; slow-shard deferral uses
 //! driver-installed per-tick delays. Two identically-seeded runs produce
 //! bitwise-identical responses and identical span trees.
+//!
+//! The parallel inference cannot break this: each lane is its own output
+//! column of the plain-lane packed GEMM, accumulated in ascending `k`, so
+//! its bits do not depend on which other lanes share its call, and the
+//! shim combines the groups' outputs in group order whichever thread ran
+//! them.
 //!
 //! # Degradation contract
 //!
@@ -32,12 +41,14 @@
 //! is eventually answered explicitly; nothing hangs.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use ld_api::Predictor as _;
 use ld_faultinject::{FaultSite, Faults};
 use ld_metrics::Metrics;
 use ld_nn::{BatchScratch, LstmForecaster};
 use ld_telemetry::Tracer;
+use rayon::prelude::*;
 
 use crate::admission::{AdmissionQueue, AdmissionStats, Request};
 use crate::lifecycle::{Breaker, BreakerConfig, BreakerState, RetryPolicy, RetrySchedule, Route};
@@ -48,15 +59,14 @@ use crate::supervisor::{ShardHealth, ShardObservation, ShardSupervisor, Supervis
 /// Which compute path answers the non-degraded lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Fused per-gate GEMMs over each `(shape, fingerprint)` group.
+    /// Fused per-gate GEMMs over each `(shape, fingerprint)` group, the
+    /// groups computed in parallel. Bitwise equal to
+    /// [`LstmForecaster::predict_reference`] per lane by construction.
     Batched,
-    /// The per-tenant workspace path ([`LstmForecaster::predict`]),
-    /// retained for equivalence checks and as the honest serial baseline.
+    /// The per-tenant workspace path ([`LstmForecaster::predict`]), one lane
+    /// after another on the calling thread: the serving oracle and the
+    /// honest serial baseline.
     Serial,
-    /// The per-tenant allocating reference path
-    /// ([`LstmForecaster::predict_reference`]); the fused path is bitwise
-    /// equal to this one by construction.
-    Reference,
 }
 
 /// Lifecycle-control knobs: deadlines, retry, breakers, shard health.
@@ -115,8 +125,6 @@ pub enum ResponseSource {
     Batched,
     /// Per-tenant workspace forward.
     Serial,
-    /// Per-tenant reference forward.
-    Reference,
     /// WMA smoothing fallback (degraded, tripped, or unresolvable lane).
     Fallback,
     /// Deadline expired before the engine could answer; the value is the
@@ -125,11 +133,12 @@ pub enum ResponseSource {
 }
 
 impl ResponseSource {
+    /// The byte [`response_digest`] hashes. Committed digests depend on
+    /// these values, so they are never renumbered or reused (2 is free).
     fn tag(self) -> u8 {
         match self {
             ResponseSource::Batched => 0,
             ResponseSource::Serial => 1,
-            ResponseSource::Reference => 2,
             ResponseSource::Fallback => 3,
             ResponseSource::Expired => 4,
         }
@@ -204,6 +213,22 @@ struct Group {
     lanes: Vec<Lane>,
 }
 
+impl Group {
+    /// One fused batched forward over every lane, with its own scratch so
+    /// groups can run on different threads.
+    fn predict_fused(&self) -> Vec<f64> {
+        let batch = self.lanes.len();
+        let mut windows = Vec::with_capacity(batch * self.model.config().history_len);
+        for lane in &self.lanes {
+            windows.extend_from_slice(&lane.window);
+        }
+        let mut out = vec![0.0; batch];
+        self.model
+            .predict_batch_fused(&windows, batch, &mut BatchScratch::new(), &mut out);
+        out
+    }
+}
+
 /// A request in flight across ticks: how many retries it has consumed and
 /// whether it has already been deferred off a slow shard.
 #[derive(Debug, Clone)]
@@ -230,7 +255,6 @@ pub struct ServeEngine {
     store: SnapshotStore,
     queue: AdmissionQueue,
     tracer: Tracer,
-    scratch: BatchScratch,
     tick: u64,
     served: u64,
     degraded: u64,
@@ -273,7 +297,6 @@ impl ServeEngine {
             store,
             queue: AdmissionQueue::new(cfg.queue_capacity),
             tracer,
-            scratch: BatchScratch::new(),
             tick: 0,
             served: 0,
             degraded: 0,
@@ -606,56 +629,58 @@ impl ServeEngine {
             }
         }
 
-        for (ordinal, group) in groups.values_mut().enumerate() {
-            let batch_span = tr.span_at("batch", ordinal as u64);
-            let btr = batch_span.tracer();
-            match self.mode {
-                ExecMode::Batched => {
-                    let n = group.model.config().history_len;
-                    let batch = group.lanes.len();
-                    let mut windows = Vec::with_capacity(batch * n);
-                    for lane in &group.lanes {
-                        windows.extend_from_slice(&lane.window);
-                    }
-                    let mut out = vec![0.0; batch];
-                    group
-                        .model
-                        .predict_batch_fused(&windows, batch, &mut self.scratch, &mut out);
-                    for (lane, &y) in group.lanes.iter().zip(&out) {
-                        btr.record_span("request", lane.id, 1, 0);
-                        let resp = finish_lane(lane, y, ResponseSource::Batched);
-                        outcomes.push(Outcome {
-                            id: lane.id,
-                            key: lane.key.clone(),
-                            shard: lane.shard,
-                            ok: !resp.degraded,
-                        });
-                        responses.push(resp);
-                    }
-                }
-                ExecMode::Serial | ExecMode::Reference => {
-                    let source = if self.mode == ExecMode::Serial {
-                        ResponseSource::Serial
-                    } else {
-                        ResponseSource::Reference
-                    };
-                    for lane in &group.lanes {
-                        btr.record_span("request", lane.id, 1, 0);
-                        let y = match source {
-                            ResponseSource::Serial => group.model.predict(&lane.window),
-                            _ => group.model.predict_reference(&lane.window),
-                        };
-                        let resp = finish_lane(lane, y, source);
-                        outcomes.push(Outcome {
-                            id: lane.id,
-                            key: lane.key.clone(),
-                            shard: lane.shard,
-                            ok: !resp.degraded,
-                        });
-                        responses.push(resp);
-                    }
-                }
+        // Inference. Every group's outputs come from one call: parallel
+        // over the groups on the shim's pool (Batched), or lane after lane
+        // on this thread (Serial, the oracle). Either way the outputs come
+        // back in group order, and responses, outcomes and `request` leaves
+        // are built from them sequentially below. Clocks are read only
+        // while tracing.
+        let groups: Vec<Group> = groups.into_values().collect();
+        let timed = tr.is_enabled();
+        let section = start_clock(timed);
+        let mode = self.mode;
+        let infer = |group: &Group| -> (Vec<f64>, u64) {
+            let start = start_clock(timed);
+            let out = match mode {
+                ExecMode::Batched => group.predict_fused(),
+                ExecMode::Serial => group
+                    .lanes
+                    .iter()
+                    .map(|lane| group.model.predict(&lane.window))
+                    .collect(),
+            };
+            (out, elapsed_ns(start))
+        };
+        let computed: Vec<(Vec<f64>, u64)> = match mode {
+            ExecMode::Batched => groups.par_iter().map(infer).collect(),
+            ExecMode::Serial => groups.iter().map(infer).collect(),
+        };
+        let section_ns = elapsed_ns(section);
+        let source = match mode {
+            ExecMode::Batched => ResponseSource::Batched,
+            ExecMode::Serial => ResponseSource::Serial,
+        };
+
+        let mut build_ns = Vec::with_capacity(groups.len());
+        for (ordinal, (group, (out, _))) in groups.iter().zip(&computed).enumerate() {
+            let start = start_clock(timed);
+            let btr = tr.scoped("batch", ordinal as u64);
+            for (lane, &y) in group.lanes.iter().zip(out) {
+                btr.record_span("request", lane.id, 1, 0);
+                let resp = finish_lane(lane, y, source);
+                outcomes.push(Outcome {
+                    id: lane.id,
+                    key: lane.key.clone(),
+                    shard: lane.shard,
+                    ok: !resp.degraded,
+                });
+                responses.push(resp);
             }
+            build_ns.push(elapsed_ns(start));
+        }
+        if timed {
+            let busy_ns: Vec<u64> = computed.iter().map(|&(_, ns)| ns).collect();
+            record_batch_spans(&tr, section_ns, &busy_ns, &build_ns);
         }
 
         // Apply model-path outcomes in id order: breaker state advances as
@@ -812,6 +837,55 @@ impl ServeEngine {
     }
 }
 
+/// Starts a span clock, but only when `timed` (tracing is on): an untraced
+/// tick reads no clock.
+fn start_clock(timed: bool) -> Option<Instant> {
+    // ld-lint: allow(determinism, "batch span timing while tracing; no answer or decision reads it")
+    timed.then(Instant::now)
+}
+
+/// Nanoseconds since `start`, or 0 for a clock that never started.
+fn elapsed_ns(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// Records each group's `tick/batch#g` span once the tick's responses are
+/// built. Group `g`'s span is its share of the inference section's wall
+/// time, weighted by its busy time (`busy_ns[g]`, measured on whichever
+/// thread ran it), plus the time its responses took to build
+/// (`build_ns[g]`). The spans tile the interval that ends now, in group
+/// order, so they sum to wall time, not to busy time summed over threads,
+/// and none is negative. Equal weights stand in when no busy time
+/// registered on the clock.
+fn record_batch_spans(tr: &Tracer, section_ns: u64, busy_ns: &[u64], build_ns: &[u64]) {
+    let weights: Vec<u128> = if busy_ns.iter().all(|&b| b == 0) {
+        vec![1; busy_ns.len()]
+    } else {
+        busy_ns.iter().map(|&b| u128::from(b)).collect()
+    };
+    let weight_total: u128 = weights.iter().sum();
+    // Cumulative rounding: the shares sum to `section_ns` exactly.
+    let mut cum_weight = 0u128;
+    let mut cum_share = 0u64;
+    let spans: Vec<u64> = weights
+        .iter()
+        .zip(build_ns)
+        .map(|(&weight, &build)| {
+            cum_weight += weight;
+            let upto = u64::try_from(u128::from(section_ns) * cum_weight / weight_total)
+                .unwrap_or(section_ns);
+            let share = upto - cum_share;
+            cum_share = upto;
+            share.saturating_add(build)
+        })
+        .collect();
+    let mut ago: u64 = spans.iter().sum();
+    for (g, &dur) in spans.iter().enumerate() {
+        ago -= dur;
+        tr.record_span("batch", g as u64, dur, ago);
+    }
+}
+
 /// Mirrors `OptimizedPredictor::predict`'s window preparation exactly:
 /// take the last `n` observations (left-padding with the earliest value
 /// when the history is shorter) and scale each one.
@@ -953,43 +1027,60 @@ mod tests {
         (0..9).map(|i| 40.0 + f64::from(i) * 3.0 + (id as f64)).collect()
     }
 
+    /// What the oracle answers for `history` on `snap`: the scaled window
+    /// through [`LstmForecaster::predict_reference`], inverse-scaled and
+    /// clamped like every served answer.
+    fn reference_answer(snap: &ModelSnapshot, history: &[f64]) -> f64 {
+        let window = scaled_window(history, snap.history_len(), snap.scaler());
+        snap.scaler()
+            .inverse(snap.model().predict_reference(&window))
+            .max(0.0)
+    }
+
+    /// One tick over `tenants`, each provisioned with its own snapshot and
+    /// asking once with `history(i)`; the queue and registry hold them all.
+    fn one_tick(name: &str, mode: ExecMode, snaps: &[ModelSnapshot]) -> Vec<Response> {
+        let mut e = ServeEngine::new(
+            EngineConfig {
+                mode,
+                queue_capacity: snaps.len(),
+                registry: RegistryConfig {
+                    shard_count: 4,
+                    capacity_per_shard: snaps.len(),
+                },
+                lifecycle: LifecycleConfig::default(),
+            },
+            test_store(name),
+            Tracer::disabled(),
+        );
+        for (i, snap) in snaps.iter().enumerate() {
+            e.provision(ClientKey::new(format!("t{i}"), "w"), snap.clone());
+        }
+        for i in 0..snaps.len() {
+            let key = ClientKey::new(format!("t{i}"), "w");
+            e.submit(Request::new(i as u64, key, history(i as u64))).expect("admit");
+        }
+        e.tick()
+    }
+
     #[test]
     fn batched_equals_reference_bitwise_and_serial_to_1e12() {
-        let mut keys = Vec::new();
-        let mut engines = [
-            engine("engine-eq-batched", ExecMode::Batched),
-            engine("engine-eq-serial", ExecMode::Serial),
-            engine("engine-eq-reference", ExecMode::Reference),
-        ];
-        for e in &mut engines {
-            for t in 0..8u64 {
-                let key = ClientKey::new(format!("t{t}"), "wiki");
-                // Two distinct models (two groups), per-tenant scalers.
-                e.provision(key.clone(), snapshot(t % 2, (0.0, 100.0 + f64::from(u32::try_from(t).unwrap()))));
-                if keys.len() < 8 {
-                    keys.push(key);
-                }
-            }
-        }
-        let run = |e: &mut ServeEngine, keys: &[ClientKey]| -> Vec<Response> {
-            for (i, key) in keys.iter().enumerate() {
-                e.submit(Request::new(i as u64, key.clone(), history(i as u64)))
-                    .expect("admit");
-            }
-            e.tick()
-        };
-        let [ref mut b, ref mut s, ref mut r] = engines;
-        let batched = run(b, &keys);
-        let serial = run(s, &keys);
-        let reference = run(r, &keys);
+        // Two distinct models (two groups), per-tenant scalers.
+        let snaps: Vec<ModelSnapshot> = (0..8u32)
+            .map(|t| snapshot(u64::from(t % 2), (0.0, 100.0 + f64::from(t))))
+            .collect();
+        let batched = one_tick("engine-eq-batched", ExecMode::Batched, &snaps);
+        let serial = one_tick("engine-eq-serial", ExecMode::Serial, &snaps);
         assert_eq!(batched.len(), 8);
-        for ((rb, rs), rr) in batched.iter().zip(&serial).zip(&reference) {
-            assert_eq!(rb.id, rs.id);
+        for (i, (rb, rs)) in batched.iter().zip(&serial).enumerate() {
+            assert_eq!((rb.id, rs.id), (i as u64, i as u64));
+            assert_eq!(rb.source, ResponseSource::Batched);
+            assert_eq!(rs.source, ResponseSource::Serial);
+            let want = reference_answer(&snaps[i], &history(i as u64));
             assert_eq!(
                 rb.value.to_bits(),
-                rr.value.to_bits(),
-                "batched vs reference must be bitwise identical (id {})",
-                rb.id
+                want.to_bits(),
+                "batched vs reference must be bitwise identical (id {i})"
             );
             assert!(
                 (rb.value - rs.value).abs() <= 1e-12 * (1.0 + rs.value.abs()),
@@ -998,6 +1089,45 @@ mod tests {
                 rs.value
             );
         }
+    }
+
+    #[test]
+    fn uneven_groups_in_one_tick_answer_like_the_reference_bitwise() {
+        // Four models whose groups hold 1, 7, 9 and 400 lanes: the groups
+        // run in one parallel call, and no lane's bits may depend on how
+        // many lanes share its group or which thread ran it.
+        let mut snaps = Vec::new();
+        for (seed, lanes) in [(21u64, 1u32), (22, 7), (23, 9), (24, 400)] {
+            for l in 0..lanes {
+                snaps.push(snapshot(seed, (0.0, 60.0 + f64::from(l % 13))));
+            }
+        }
+        let fingerprints: std::collections::BTreeSet<u64> =
+            snaps.iter().map(ModelSnapshot::fingerprint).collect();
+        assert_eq!(fingerprints.len(), 4, "one group per model");
+        let rs = one_tick("engine-uneven-groups", ExecMode::Batched, &snaps);
+        assert_eq!(rs.len(), snaps.len());
+        for (i, r) in rs.iter().enumerate() {
+            assert_eq!(r.id, i as u64);
+            assert_eq!(r.source, ResponseSource::Batched);
+            let want = reference_answer(&snaps[i], &history(i as u64));
+            assert_eq!(r.value.to_bits(), want.to_bits(), "id {i}");
+        }
+    }
+
+    #[test]
+    fn batch_spans_split_the_section_wall_time_by_busy_time() {
+        let durations = |busy: &[u64]| -> Vec<u64> {
+            let tr = Tracer::enabled();
+            record_batch_spans(&tr, 1000, busy, &[5, 5, 5]);
+            tr.snapshot().spans.iter().map(|s| s.dur_ns).collect()
+        };
+        // Shares of the 1000 ns section follow busy time (summed over
+        // threads it may exceed the section), plus each group's 5 ns of
+        // response building; the spans add up to wall time.
+        assert_eq!(durations(&[1500, 500, 0]), vec![755, 255, 5]);
+        // No busy time on the clock: equal shares, rounding kept exact.
+        assert_eq!(durations(&[0, 0, 0]), vec![338, 338, 339]);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 # crate's tests under three schedules, the release serving suites, the
 # ld-perfbench smoke run at default threads and on one core (kernel
 # equivalence asserts + bench schema check + regression gate),
-# the ld-lint static-analysis gate (report left in target/lint-report.json),
-# and a warning-free clippy pass over every target, tests included. Run
-# from the repository root:
+# the full serve replay's response digest against the committed
+# BENCH_serve.json at default threads and on one core, the benchmark's own
+# tests, the ld-lint static-analysis gate (report left in
+# target/lint-report.json), and a warning-free clippy pass over every
+# target, tests included. Run from the repository root:
 #
 #     ./scripts/ci.sh
 #
@@ -55,6 +57,41 @@ rm -f target/ci-metrics.json target/ci-metrics.json.prom
 LD_METRICS=target/ci-metrics.json cargo run -q --release -p ld-serve --bin ld-loadgen -- --smoke
 cargo run -q --release --bin ld-cli -- metrics-validate target/ci-metrics.json target/ci-metrics.json.prom
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check BENCH_serve.json
+
+echo "=== ld-loadgen full replay: response digest == BENCH_serve.json at default threads and one core ==="
+# `--check` above validates only the artifact's schema. The full replay
+# regenerates the digest; it must equal the committed one whatever the
+# core count, because the batched tick is bitwise identical on any number
+# of cores.
+digest_of() {
+    sed -n 's/.*"response_digest": *"\([0-9a-f]*\)".*/\1/p' "$1" | head -n 1
+}
+committed=$(digest_of BENCH_serve.json)
+if [ -z "$committed" ]; then
+    echo "ci.sh: BENCH_serve.json carries no response_digest" >&2
+    exit 1
+fi
+serve_legs="default"
+if command -v taskset > /dev/null; then
+    serve_legs="default pinned"
+fi
+for leg in $serve_legs; do
+    rm -f target/ci-serve.json target/ci-serve.json.manifest.json
+    if [ "$leg" = pinned ]; then
+        taskset -c 0 cargo run -q --release -p ld-serve --bin ld-loadgen -- --out target/ci-serve.json > /dev/null
+    else
+        cargo run -q --release -p ld-serve --bin ld-loadgen -- --out target/ci-serve.json > /dev/null
+    fi
+    got=$(digest_of target/ci-serve.json)
+    if [ "$got" != "$committed" ]; then
+        echo "ci.sh: serve digest ($leg) is '$got', BENCH_serve.json has '$committed'" >&2
+        exit 1
+    fi
+    echo "serve digest ($leg): $got"
+done
+
+echo "=== ldbench unit tests (the benchmark is a workspace of its own) ==="
+cargo test --release -q --manifest-path ldbench/Cargo.toml
 
 echo "=== ld-loadgen --chaos --smoke (chaos soak: availability, isolation, determinism) ==="
 mkdir -p target
