@@ -320,7 +320,6 @@ impl Matrix {
                             a_panel,
                             b_panels,
                             strip,
-                            microkernel::Store::Assign,
                         );
                     });
             } else {
@@ -331,7 +330,6 @@ impl Matrix {
                     a_panels,
                     b_panels,
                     &mut out,
-                    microkernel::Store::Assign,
                 );
             }
         });

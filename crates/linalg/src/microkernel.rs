@@ -54,6 +54,9 @@ pub enum Store<'a> {
     /// used by the LSTM batched gate step: the product is accumulated to
     /// completion from zero first, then folded into `out` in one pass.
     AccBias(&'a [f64]),
+    /// `out = out + acc` — accumulate a product into `out` (the LSTM
+    /// block kernel's per-step weight-gradient sum).
+    Acc,
 }
 
 /// Column-block width of the bitwise kernel's register tile: one [`f64`]
@@ -100,6 +103,7 @@ pub fn gemm(
         // store fold with a zero accumulator.
         match store {
             Store::Assign => out.fill(0.0),
+            Store::Acc => {}
             Store::AccBias(bias) => {
                 for (row, &bi) in out.chunks_exact_mut(n.max(1)).zip(bias) {
                     for o in row.iter_mut() {
@@ -143,6 +147,11 @@ pub fn gemm(
                     let o = &mut out[row * n + j..row * n + j + JB];
                     match store {
                         Store::Assign => o.copy_from_slice(accr),
+                        Store::Acc => {
+                            for (ov, &cv) in o.iter_mut().zip(accr) {
+                                *ov += cv;
+                            }
+                        }
                         Store::AccBias(bias) => {
                             let bi = bias[row];
                             for (ov, &cv) in o.iter_mut().zip(accr) {
@@ -165,6 +174,7 @@ pub fn gemm(
                 let o = &mut out[(i0 + i) * n + jj];
                 match store {
                     Store::Assign => *o = acc,
+                    Store::Acc => *o += acc,
                     Store::AccBias(bias) => *o = (*o + acc) + bias[i0 + i],
                 }
             }
@@ -176,7 +186,9 @@ pub fn gemm(
 /// maximum throughput, `1e-9`-relative-bounded (not bitwise) against
 /// [`gemm`] / [`crate::Matrix::matmul_naive`]. Computes the `m x n`
 /// product from pre-packed A panels and pre-packed B column panels
-/// (`ceil(n/NR)` panels of `NR * k`, see [`crate::pack::pack_b_into`]).
+/// (`ceil(n/NR)` panels of `NR * k`, see [`crate::pack::pack_b_into`])
+/// and assigns it to `out` (its one caller,
+/// [`crate::Matrix::matmul_packed`], wants a plain product).
 ///
 /// # Panics
 /// Panics if the panel buffers or `out` do not match the stated shapes
@@ -188,29 +200,14 @@ pub fn gemm_fma(
     a_panels: &[f64],
     b_panels: &[f64],
     out: &mut [f64],
-    store: Store<'_>,
 ) {
     let mp = m.div_ceil(MR).max(1);
     let np = n.div_ceil(NR).max(1);
     assert_eq!(a_panels.len(), mp * MR * k, "gemm_fma: packed A size");
     assert_eq!(b_panels.len(), np * NR * k, "gemm_fma: packed B size");
     assert_eq!(out.len(), m * n, "gemm_fma: output size");
-    if let Store::AccBias(bias) = store {
-        assert_eq!(bias.len(), m, "gemm_fma: bias length");
-    }
     if k == 0 {
-        // No products to accumulate: a degenerate inner dimension reduces
-        // to the store fold with a zero accumulator.
-        match store {
-            Store::Assign => out.fill(0.0),
-            Store::AccBias(bias) => {
-                for (row, &bi) in out.chunks_exact_mut(n.max(1)).zip(bias) {
-                    for o in row.iter_mut() {
-                        *o = (*o + 0.0) + bi;
-                    }
-                }
-            }
-        }
+        out.fill(0.0);
         return;
     }
     // B-panel-outer order: one `NR * k` B panel is reused by every A panel
@@ -246,38 +243,12 @@ pub fn gemm_fma(
             }
 
             // Clipped store: only the live `rows x cols` corner is written.
-            match store {
-                Store::Assign => {
-                    for (i, (row_lo, row_hi)) in
-                        acc_lo.iter().zip(&acc_hi).take(rows).enumerate()
-                    {
-                        let o0 = (i0 + i) * n + j0;
-                        let lo = cols.min(NRH);
-                        out[o0..o0 + lo].copy_from_slice(&row_lo[..lo]);
-                        if cols > NRH {
-                            out[o0 + NRH..o0 + cols]
-                                .copy_from_slice(&row_hi[..cols - NRH]);
-                        }
-                    }
-                }
-                Store::AccBias(bias) => {
-                    for (i, (row_lo, row_hi)) in
-                        acc_lo.iter().zip(&acc_hi).take(rows).enumerate()
-                    {
-                        let bi = bias[i0 + i];
-                        let o0 = (i0 + i) * n + j0;
-                        let lo = cols.min(NRH);
-                        for (o, &c) in out[o0..o0 + lo].iter_mut().zip(row_lo) {
-                            *o = (*o + c) + bi;
-                        }
-                        if cols > NRH {
-                            for (o, &c) in
-                                out[o0 + NRH..o0 + cols].iter_mut().zip(row_hi)
-                            {
-                                *o = (*o + c) + bi;
-                            }
-                        }
-                    }
+            for (i, (row_lo, row_hi)) in acc_lo.iter().zip(&acc_hi).take(rows).enumerate() {
+                let o0 = (i0 + i) * n + j0;
+                let lo = cols.min(NRH);
+                out[o0..o0 + lo].copy_from_slice(&row_lo[..lo]);
+                if cols > NRH {
+                    out[o0 + NRH..o0 + cols].copy_from_slice(&row_hi[..cols - NRH]);
                 }
             }
         }

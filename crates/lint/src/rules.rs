@@ -269,7 +269,7 @@ interval so the fix (which bound is missing) is visible in the message.",
         Rule {
             id: "rayon-capture",
             summary: "rayon parallel closures mutating captured non-reduction state",
-            fix_hint: "collect per-item results (`map().collect()`) or use rayon's fold/reduce; \
+            fix_hint: "collect per-item results (`map().collect()`) and combine them in order; \
 mutate only closure-owned locals and `par_chunks_mut`-style parameters",
             explain: "\
 `par_iter().for_each(|x| shared.lock().push(..))` compiles — the Mutex makes

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dense::{Dense, DenseGrads};
 use crate::loss::squared_error_grad;
-use crate::lstm::{LstmGrads, LstmLayer, ReferenceLstmCache};
+use crate::lstm::{LstmGrads, LstmLayer};
 use crate::workspace::{self, Workspace};
 
 /// Architecture hyperparameters of one forecaster — exactly the four knobs
@@ -262,14 +262,12 @@ impl LstmForecaster {
     }
 
     /// Pre-change prediction path (nested-`Vec` caches, sequential dots),
-    /// retained as the equivalence oracle and the perfbench "before" model.
+    /// retained as the serving oracle and the perfbench "before" model:
+    /// the batched inference kernel matches it bitwise.
+    ///
+    /// # Panics
+    /// Panics if `window.len() != history_len`.
     pub fn predict_reference(&self, window: &[f64]) -> f64 {
-        let (pred, _) = self.forward_cached_reference(window);
-        pred
-    }
-
-    /// Forward pass over the reference kernels, keeping per-layer caches.
-    fn forward_cached_reference(&self, window: &[f64]) -> (f64, Vec<ReferenceLstmCache>) {
         assert_eq!(
             window.len(),
             self.config.history_len,
@@ -277,52 +275,11 @@ impl LstmForecaster {
             window.len(),
             self.config.history_len
         );
-        let mut caches = Vec::with_capacity(self.layers.len());
         let mut seq: Vec<Vec<f64>> = window.iter().map(|&v| vec![v]).collect();
         for layer in &self.layers {
-            let cache = layer.forward_reference(&seq);
-            seq = cache.hidden_sequence().to_vec();
-            caches.push(cache);
+            seq = layer.forward_reference(&seq).hidden_sequence().to_vec();
         }
-        let last_h = caches[caches.len() - 1].last_hidden();
-        let pred = self.head.forward(last_h)[0];
-        (pred, caches)
-    }
-
-    /// Pre-change `sample_grads`, retained verbatim over the reference
-    /// kernels — used by the equivalence tests and as perfbench's "before"
-    /// gradient path.
-    pub fn sample_grads_reference(&self, window: &[f64], target: f64) -> (f64, ForecasterGrads) {
-        let (pred, caches) = self.forward_cached_reference(window);
-        let loss = (pred - target) * (pred - target);
-        let dpred = squared_error_grad(pred, target);
-
-        // Head backward.
-        let top_cache = &caches[caches.len() - 1];
-        let (head_grads, dh_last) = self.head.backward(top_cache.last_hidden(), &[dpred]);
-
-        // Backprop through the LSTM stack, top layer first.
-        let steps = self.config.history_len;
-        let hidden = self.config.hidden_size;
-        let mut lstm_rev: Vec<LstmGrads> = Vec::with_capacity(self.layers.len());
-        // Gradient flowing into the top layer's hidden sequence: zero except
-        // at the final step.
-        let mut dh_seq = vec![vec![0.0; hidden]; steps];
-        dh_seq[steps - 1] = dh_last;
-
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (grads, dxs) = layer.backward_reference(&caches[idx], &dh_seq);
-            lstm_rev.push(grads);
-            // dxs of this layer is the dh sequence of the layer below.
-            dh_seq = dxs;
-        }
-        lstm_rev.reverse();
-
-        let grads = ForecasterGrads {
-            lstm: lstm_rev,
-            head: head_grads,
-        };
-        (loss, grads)
+        self.head.forward(&seq[seq.len() - 1])[0]
     }
 
     /// Zeroed gradients matching this model's structure.
@@ -476,8 +433,9 @@ mod tests {
         }
     }
 
-    /// The workspace hot path agrees with the retained pre-change
-    /// implementation within 1e-9 relative (fast dots reorder summation).
+    /// The workspace prediction agrees with the retained pre-change
+    /// implementation within 1e-9 relative (the fused gate step reorders
+    /// the dot sums).
     #[test]
     fn workspace_path_matches_reference_path() {
         for seed in [42u64, 7, 99] {
@@ -485,33 +443,11 @@ mod tests {
             cfg.seed = seed;
             let model = LstmForecaster::new(cfg);
             let window = [0.2, -0.4, 0.7, 0.1];
-            let target = 0.5;
-
             let p_fast = model.predict(&window);
             let p_ref = model.predict_reference(&window);
             assert!(
                 (p_fast - p_ref).abs() <= 1e-9 * (1.0 + p_ref.abs()),
                 "seed {seed}: predict {p_fast} vs {p_ref}"
-            );
-
-            let (l_fast, g_fast) = model.sample_grads(&window, target);
-            let (l_ref, g_ref) = model.sample_grads_reference(&window, target);
-            assert!((l_fast - l_ref).abs() <= 1e-9 * (1.0 + l_ref.abs()));
-            for (idx, (a, b)) in g_fast.lstm.iter().zip(&g_ref.lstm).enumerate() {
-                for (ma, mb) in [(&a.dw, &b.dw), (&a.du, &b.du), (&a.db, &b.db)] {
-                    assert!(
-                        ma.max_abs_diff(mb) <= 1e-9 * (1.0 + mb.frobenius_norm()),
-                        "seed {seed}: lstm grads mismatch at layer {idx}"
-                    );
-                }
-            }
-            assert!(
-                g_fast.head.dw.max_abs_diff(&g_ref.head.dw)
-                    <= 1e-9 * (1.0 + g_ref.head.dw.frobenius_norm())
-            );
-            assert!(
-                g_fast.head.db.max_abs_diff(&g_ref.head.db)
-                    <= 1e-9 * (1.0 + g_ref.head.db.frobenius_norm())
             );
         }
     }

@@ -15,12 +15,13 @@
 //!   JARs in, one predicted JAR out — plus (de)serialization,
 //! - [`trainer`]: mini-batch training with shuffling, global-norm gradient
 //!   clipping and early stopping on a validation split,
+//! - [`block`]: the lane-blocked training kernel — a block of mini-batch
+//!   samples runs forward and BPTT as one GEMM per layer per step,
+//! - [`batch`]: fused batched inference for the serving engine,
 //! - [`workspace`]: reusable scratch arenas that make the forward/backward
 //!   hot loops allocation-free,
-//! - [`sections`]: opt-in nanosecond accounting for the gate-matmul and
-//!   BPTT kernel sections (drained into telemetry by the trainer),
-//! - [`reference`]: the retained pre-change compute paths, used as the
-//!   equivalence oracle for the optimized kernels.
+//! - [`reference`]: the per-sample training oracle the block kernel is
+//!   checked against.
 //!
 //! Every forward pass is pure; gradients are checked against finite
 //! differences in the test suite. All randomness flows from explicit seeds.
@@ -30,6 +31,7 @@
 
 pub mod activation;
 pub mod batch;
+pub mod block;
 pub mod dense;
 pub mod forecaster;
 pub mod gru;
@@ -38,7 +40,6 @@ pub mod lstm;
 pub mod mlp;
 pub mod optim;
 pub mod reference;
-pub mod sections;
 pub mod trainer;
 pub mod workspace;
 
@@ -46,7 +47,7 @@ pub use batch::BatchScratch;
 pub use forecaster::{ForecasterConfig, LstmForecaster};
 pub use gru::{GruConfig, GruForecaster};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
-pub use trainer::{TrainOptions, TrainReport, Trainer};
+pub use trainer::{BlockStats, TrainOptions, TrainReport, Trainer};
 
 /// A supervised sample: an input window of past observations and the target
 /// next observation. Values are expected to be normalized by the caller.

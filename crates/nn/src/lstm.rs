@@ -19,19 +19,19 @@
 //! the per-row-dots step retained as [`LstmLayer::gate_step_reference`].
 //! The batched inference kernel rides the same packed panels through
 //! [`LstmLayer::packed_input_weights`] /
-//! [`LstmLayer::packed_recurrent_weights`].
+//! [`LstmLayer::packed_recurrent_weights`], and the lane-blocked training
+//! kernel ([`crate::block`]) runs the fused panel as a GEMM over a block of
+//! samples, with a packed `[W | U]^T` panel for its backward GEMM.
 //!
-//! The hot path is allocation-free: [`LstmLayer::forward_into`] and
+//! The per-sample path is allocation-free: [`LstmLayer::forward_into`] and
 //! [`LstmLayer::backward_into`] write into a caller-owned [`LstmCache`] and
-//! scratch buffers (see [`crate::workspace`]) whose flat strided layout
-//! replaces the per-timestep `Vec` churn of the original implementation.
-//! The backward pass pulls `dx`/`dh` from lazily cached weight transposes
-//! (contiguous mat-vecs instead of per-row `axpy` strides); the caches are
-//! invalidated whenever [`LstmLayer::visit_params`] exposes the weights to
-//! an optimizer step. The pre-change implementation is retained verbatim as
-//! [`LstmLayer::forward_reference`] / [`LstmLayer::backward_reference`] —
-//! the equivalence oracle for `ld-perfbench --smoke` and the
-//! `kernel_equivalence` suite (fast paths agree within 1e-9 relative).
+//! scratch buffers (see [`crate::workspace`]). It is the training oracle
+//! the block kernel is checked against. Its backward pass pulls `dx`/`dh`
+//! from lazily cached weight transposes. Every derived panel and transpose
+//! is dropped whenever [`LstmLayer::visit_params`] exposes the weights to
+//! an optimizer step. The pre-change forward pass is retained as
+//! [`LstmLayer::forward_reference`], the serving oracle (the batched
+//! inference kernel matches it bitwise).
 
 use std::sync::OnceLock;
 
@@ -69,6 +69,9 @@ pub struct LstmLayer {
     wpack: OnceLock<PackedA>,
     /// Lazily packed `U` micro-panels for the batched gate GEMM.
     upack: OnceLock<PackedA>,
+    /// Lazily packed `[W | U]^T` (`(input_dim + H) x 4H`) for the block
+    /// kernel's backward GEMM `[dX; dH_prev] = [W | U]^T dZ`.
+    wut_pack: OnceLock<PackedA>,
 }
 
 // A clone starts with cold derived caches (transposes, packed panels):
@@ -89,6 +92,7 @@ impl Clone for LstmLayer {
             fused_wub: OnceLock::new(),
             wpack: OnceLock::new(),
             upack: OnceLock::new(),
+            wut_pack: OnceLock::new(),
         }
     }
 }
@@ -200,14 +204,11 @@ impl LstmCache {
 }
 
 /// Forward-pass record of the pre-change implementation (nested `Vec`s),
-/// kept as the equivalence oracle for the workspace kernels.
+/// kept for the serving oracle [`LstmLayer::forward_reference`].
 #[derive(Debug, Clone)]
 pub struct ReferenceLstmCache {
-    pub(crate) xs: Vec<Vec<f64>>,
-    pub(crate) hs: Vec<Vec<f64>>,
-    pub(crate) cs: Vec<Vec<f64>>,
-    pub(crate) gates: Vec<[Vec<f64>; 4]>,
-    pub(crate) tanh_c: Vec<Vec<f64>>,
+    /// Hidden states `h_0..h_T`; row 0 is the zero initial state.
+    hs: Vec<Vec<f64>>,
 }
 
 impl ReferenceLstmCache {
@@ -223,7 +224,7 @@ impl ReferenceLstmCache {
 
     /// Number of unrolled steps.
     pub fn steps(&self) -> usize {
-        self.xs.len()
+        self.hs.len() - 1
     }
 }
 
@@ -250,6 +251,7 @@ impl LstmLayer {
             fused_wub: OnceLock::new(),
             wpack: OnceLock::new(),
             upack: OnceLock::new(),
+            wut_pack: OnceLock::new(),
         }
     }
 
@@ -301,6 +303,7 @@ impl LstmLayer {
         self.fused_wub.take();
         self.wpack.take();
         self.upack.take();
+        self.wut_pack.take();
     }
 
     /// `W^T`, built on first use after each parameter update.
@@ -317,7 +320,7 @@ impl LstmLayer {
     /// on first use after each parameter update. One packed mat-vec of
     /// this panel against `[x | h_prev | 1]` computes all four gate
     /// pre-activations.
-    fn fused_gate_panel(&self) -> &PackedA {
+    pub(crate) fn fused_gate_panel(&self) -> &PackedA {
         self.fused_wub.get_or_init(|| {
             let (h4, i_dim, h) = (4 * self.hidden, self.input_dim, self.hidden);
             let width = i_dim + h + 1;
@@ -328,6 +331,22 @@ impl LstmLayer {
                 row[i_dim + h] = self.b[(r, 0)];
             }
             PackedA::pack(&flat, h4, width)
+        })
+    }
+
+    /// `[W | U]^T` packed into micro-panels, built on first use after each
+    /// parameter update: one GEMM of this panel against a block's `dZ_t`
+    /// yields the input and recurrent gradients `[dX; dH_prev]` together.
+    pub(crate) fn backward_panel(&self) -> &PackedA {
+        self.wut_pack.get_or_init(|| {
+            let (h4, i_dim, h) = (4 * self.hidden, self.input_dim, self.hidden);
+            let mut flat = vec![0.0; (i_dim + h) * h4];
+            for r in 0..h4 {
+                for (c, &v) in self.w.row(r).iter().chain(self.u.row(r)).enumerate() {
+                    flat[c * h4 + r] = v;
+                }
+            }
+            PackedA::pack(&flat, i_dim + h, h4)
         })
     }
 
@@ -401,9 +420,6 @@ impl LstmLayer {
         z.clear();
         z.resize(4 * h, 0.0);
 
-        let timing = crate::sections::enabled();
-        let mut gate_nanos: u128 = 0;
-
         let LstmCache {
             xs: cxs,
             hs,
@@ -425,14 +441,8 @@ impl LstmLayer {
             let g_row = &mut gates[t * 4 * h..(t + 1) * 4 * h];
             let tc = &mut tanh_c[t * h..(t + 1) * h];
 
-            // z = W x + U h_prev + b as one packed panel mat-vec (the
-            // "gate-matmul" telemetry section).
-            // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-            let t0 = timing.then(std::time::Instant::now);
+            // z = W x + U h_prev + b as one packed panel mat-vec.
             self.gate_step_fused(x, h_prev, gate_in, z);
-            if let Some(t0) = t0 {
-                gate_nanos += t0.elapsed().as_nanos();
-            }
 
             // Gate blocks are contiguous ([i|f|o] then [g]), so the
             // activations run as two slice-mapped passes the compiler can
@@ -448,9 +458,6 @@ impl LstmLayer {
             for k in 0..h {
                 h_t[k] = g_row[2 * h + k] * tc[k];
             }
-        }
-        if timing {
-            crate::sections::add_gate_matmul(u64::try_from(gate_nanos).unwrap_or(u64::MAX));
         }
     }
 
@@ -490,10 +497,6 @@ impl LstmLayer {
         dc_next.resize(h, 0.0);
         let wt = self.w_transposed();
         let ut = self.u_transposed();
-
-        let timing = crate::sections::enabled();
-        // ld-lint: allow(determinism, "opt-in kernel section timer; timing is observed, never fed back into the numerics")
-        let t0 = timing.then(std::time::Instant::now);
 
         for t in (0..steps).rev() {
             let g_row = &cache.gates[t * 4 * h..(t + 1) * 4 * h];
@@ -540,10 +543,6 @@ impl LstmLayer {
             // the cached transposes instead of per-row strided axpys.
             wt.matvec_into(dz, &mut dxs[t * i_dim..(t + 1) * i_dim]);
             ut.matvec_into(dz, dh_next);
-        }
-
-        if let Some(t0) = t0 {
-            crate::sections::add_bptt(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
     }
 
@@ -596,26 +595,21 @@ impl LstmLayer {
     }
 
     /// The pre-change forward pass, retained verbatim (per-step `Vec`
-    /// allocations, sequential `dot`) as the equivalence oracle and the
+    /// allocations, sequential `dot`) as the serving oracle and the
     /// perfbench "before" kernel. Not used by the training hot path.
     pub fn forward_reference(&self, xs: &[Vec<f64>]) -> ReferenceLstmCache {
         let h = self.hidden;
         let t_len = xs.len();
         let mut cache = ReferenceLstmCache {
-            xs: xs.to_vec(),
             hs: Vec::with_capacity(t_len + 1),
-            cs: Vec::with_capacity(t_len + 1),
-            gates: Vec::with_capacity(t_len),
-            tanh_c: Vec::with_capacity(t_len),
         };
         cache.hs.push(vec![0.0; h]);
-        cache.cs.push(vec![0.0; h]);
+        let mut c_prev = vec![0.0; h];
 
         let mut z = vec![0.0; 4 * h];
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.len(), self.input_dim, "LSTM input dim mismatch");
             let h_prev = cache.hs[t].clone();
-            let c_prev = cache.cs[t].clone();
 
             // z = W x + U h_prev + b
             for (r, zr) in z.iter_mut().enumerate() {
@@ -638,77 +632,10 @@ impl LstmLayer {
                 h_t[k] = o_gate[k] * tanh_c[k];
             }
 
-            cache.gates.push([i_gate, f_gate, o_gate, g_gate]);
-            cache.tanh_c.push(tanh_c);
-            cache.cs.push(c_t);
+            c_prev = c_t;
             cache.hs.push(h_t);
         }
         cache
-    }
-
-    /// The pre-change backward pass over a [`ReferenceLstmCache`], retained
-    /// verbatim as the equivalence oracle for [`Self::backward_into`].
-    pub fn backward_reference(
-        &self,
-        cache: &ReferenceLstmCache,
-        dh_seq: &[Vec<f64>],
-    ) -> (LstmGrads, Vec<Vec<f64>>) {
-        let h = self.hidden;
-        let t_len = cache.steps();
-        assert_eq!(dh_seq.len(), t_len, "dh sequence length mismatch");
-
-        let mut grads = LstmGrads::zeros(self.input_dim, h);
-        let mut dxs = vec![vec![0.0; self.input_dim]; t_len];
-
-        // Gradients carried backwards across time.
-        let mut dh_next = vec![0.0; h];
-        let mut dc_next = vec![0.0; h];
-        let mut dz = vec![0.0; 4 * h];
-
-        for t in (0..t_len).rev() {
-            let [i_gate, f_gate, o_gate, g_gate] = &cache.gates[t];
-            let tanh_c = &cache.tanh_c[t];
-            let c_prev = &cache.cs[t];
-            let h_prev = &cache.hs[t];
-            let x_t = &cache.xs[t];
-
-            for k in 0..h {
-                let dh = dh_seq[t][k] + dh_next[k];
-                let dct = dh * o_gate[k] * tanh_deriv_from_output(tanh_c[k]) + dc_next[k];
-                let do_ = dh * tanh_c[k];
-                let di = dct * g_gate[k];
-                let df = dct * c_prev[k];
-                let dg = dct * i_gate[k];
-
-                dz[k] = di * sigmoid_deriv_from_output(i_gate[k]);
-                dz[h + k] = df * sigmoid_deriv_from_output(f_gate[k]);
-                dz[2 * h + k] = do_ * sigmoid_deriv_from_output(o_gate[k]);
-                dz[3 * h + k] = dg * tanh_deriv_from_output(g_gate[k]);
-
-                dc_next[k] = dct * f_gate[k];
-            }
-
-            for (r, &dzr) in dz.iter().enumerate() {
-                if dzr == 0.0 {
-                    continue;
-                }
-                vecops::axpy(dzr, x_t, grads.dw.row_mut(r));
-                vecops::axpy(dzr, h_prev, grads.du.row_mut(r));
-                grads.db[(r, 0)] += dzr;
-            }
-
-            let dx = &mut dxs[t];
-            dh_next.fill(0.0);
-            for (r, &dzr) in dz.iter().enumerate() {
-                if dzr == 0.0 {
-                    continue;
-                }
-                vecops::axpy(dzr, self.w.row(r), dx);
-                vecops::axpy(dzr, self.u.row(r), &mut dh_next);
-            }
-        }
-
-        (grads, dxs)
     }
 
     /// Sum of squares of all parameter entries (for tests/regularization).
@@ -746,6 +673,7 @@ impl Deserialize for LstmLayer {
             fused_wub: OnceLock::new(),
             wpack: OnceLock::new(),
             upack: OnceLock::new(),
+            wut_pack: OnceLock::new(),
         })
     }
 }
@@ -813,11 +741,12 @@ mod tests {
         assert_eq!(layer.param_count(), 4 * 7 * (3 + 7 + 1));
     }
 
-    /// The workspace kernels agree with the retained pre-change
-    /// implementation within 1e-9 relative (the fast path reorders dot
-    /// sums, so bitwise equality is not expected).
+    /// The workspace forward pass agrees with the retained pre-change
+    /// implementation within 1e-9 relative (the fused gate step reorders
+    /// the dot sums, so bitwise equality is not expected). The backward
+    /// pass is pinned by finite differences below.
     #[test]
-    fn workspace_forward_backward_match_reference() {
+    fn workspace_forward_matches_reference() {
         for &(seed, i_dim, h, t_len) in
             &[(7u64, 2usize, 3usize, 4usize), (8, 1, 8, 6), (9, 5, 4, 1)]
         {
@@ -832,6 +761,7 @@ mod tests {
                 .collect();
             let fast = layer.forward(&xs);
             let refr = layer.forward_reference(&xs);
+            assert_eq!(refr.steps(), t_len);
             for t in 0..t_len {
                 for k in 0..h {
                     let a = fast.hidden_row(t)[k];
@@ -842,41 +772,13 @@ mod tests {
                     );
                 }
             }
-
-            let dh_seq: Vec<Vec<f64>> = (0..t_len)
-                .map(|t| (0..h).map(|k| ((t + k) as f64 * 0.61).cos()).collect())
-                .collect();
-            let (g_fast, dx_fast) = layer.backward(&fast, &dh_seq);
-            let (g_ref, dx_ref) = layer.backward_reference(&refr, &dh_seq);
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
-            assert!(
-                g_fast.dw.max_abs_diff(&g_ref.dw) <= 1e-9 * (1.0 + g_ref.dw.frobenius_norm()),
-                "dw mismatch (seed {seed})"
-            );
-            assert!(
-                g_fast.du.max_abs_diff(&g_ref.du) <= 1e-9 * (1.0 + g_ref.du.frobenius_norm()),
-                "du mismatch (seed {seed})"
-            );
-            assert!(
-                g_fast.db.max_abs_diff(&g_ref.db) <= 1e-9 * (1.0 + g_ref.db.frobenius_norm()),
-                "db mismatch (seed {seed})"
-            );
-            for t in 0..t_len {
-                for d in 0..i_dim {
-                    assert!(
-                        close(dx_fast[t][d], dx_ref[t][d]),
-                        "dx[{t}][{d}]: {} vs {} (seed {seed})",
-                        dx_fast[t][d],
-                        dx_ref[t][d]
-                    );
-                }
-            }
         }
     }
 
-    /// `visit_params` must drop the cached transposes: a backward pass,
-    /// then a weight update, then another backward pass has to use the
-    /// *new* weights for `dx`/`dh`.
+    /// `visit_params` must drop every derived weight cache: a backward
+    /// pass, then a weight update, then another backward pass has to use
+    /// the *new* weights for `dx`/`dh`, and the block kernel's `[W|U]^T`
+    /// panel must be rebuilt from them.
     #[test]
     fn transpose_cache_invalidated_on_param_update() {
         let mut rng = StdRng::seed_from_u64(10);
@@ -887,6 +789,7 @@ mod tests {
         // First backward builds the transpose caches.
         let cache = layer.forward(&xs);
         let (_, _) = layer.backward(&cache, &dh_seq);
+        let _ = layer.backward_panel();
 
         // Update every parameter through the optimizer-facing visitor.
         let zero = LstmGrads::zeros(2, 3);
@@ -896,18 +799,16 @@ mod tests {
             }
         });
 
-        // The next backward must agree with the reference path on the
-        // *updated* layer — it would not if stale transposes survived.
+        // The next backward must equal a cold clone's (a clone starts
+        // with no derived caches) — it would not if stale caches survived.
+        let cold = layer.clone();
         let cache = layer.forward(&xs);
-        let (g_fast, dx_fast) = layer.backward(&cache, &dh_seq);
-        let refr = layer.forward_reference(&xs);
-        let (g_ref, dx_ref) = layer.backward_reference(&refr, &dh_seq);
-        assert!(g_fast.dw.max_abs_diff(&g_ref.dw) <= 1e-9 * (1.0 + g_ref.dw.frobenius_norm()));
-        for t in 0..2 {
-            for d in 0..2 {
-                assert!((dx_fast[t][d] - dx_ref[t][d]).abs() <= 1e-9 * (1.0 + dx_ref[t][d].abs()));
-            }
-        }
+        let (g_warm, dx_warm) = layer.backward(&cache, &dh_seq);
+        let (g_cold, dx_cold) = cold.backward(&cold.forward(&xs), &dh_seq);
+        assert_eq!(g_warm.dw.as_slice(), g_cold.dw.as_slice());
+        assert_eq!(g_warm.du.as_slice(), g_cold.du.as_slice());
+        assert_eq!(dx_warm, dx_cold);
+        assert_eq!(layer.backward_panel(), cold.backward_panel());
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Pre-change reference model for equivalence gating and benchmarking.
+//! The per-sample training oracle.
 //!
-//! [`ReferenceLstmForecaster`] wraps an [`LstmForecaster`] but routes every
-//! [`Trainable`] call through the retained pre-change implementations
-//! (`predict_reference` / `sample_grads_reference`, nested-`Vec` caches,
-//! sequential dots) and inherits the trait's *default*
-//! `sample_grads_into` — allocate a fresh gradient set per sample, then
-//! `accumulate` — which reproduces the original trainer's batch
-//! floating-point accumulation order exactly. Training one of these against
-//! the optimized fast path is how `ld-perfbench` measures the "before"
-//! train-epoch cost and how the `kernel_equivalence` suite checks that
-//! `TrainReport` losses agree within tolerance.
+//! [`ReferenceLstmForecaster`] wraps an [`LstmForecaster`] but keeps the
+//! [`Trainable`] defaults for the block methods: the trainer's lane blocks
+//! then run [`LstmForecaster::sample_grads_into`] once per sample, and
+//! validation runs [`LstmForecaster::predict_reference`] once per sample.
+//! Training one of these against the lane-blocked fast path is how
+//! `ld-perfbench` measures the "before" train-epoch cost and how the
+//! `kernel_equivalence` suite checks that `TrainReport` losses agree
+//! within tolerance.
 
 use crate::forecaster::{ForecasterGrads, LstmForecaster};
 use crate::optim::Optimizer;
 use crate::trainer::Trainable;
 
-/// An [`LstmForecaster`] trained exclusively through the pre-change slow
-/// paths. Construct one from the same config/seed as the fast model to get
-/// bit-identical initial weights.
+/// An [`LstmForecaster`] trained through the per-sample path. Construct
+/// one from the same config/seed as the fast model to get bit-identical
+/// initial weights.
 #[derive(Debug, Clone)]
 pub struct ReferenceLstmForecaster(pub LstmForecaster);
 
@@ -28,10 +26,13 @@ impl Trainable for ReferenceLstmForecaster {
         self.0.zero_grads()
     }
     fn sample_grads(&self, window: &[f64], target: f64) -> (f64, Self::Grads) {
-        self.0.sample_grads_reference(window, target)
+        self.0.sample_grads(window, target)
     }
-    // sample_grads_into deliberately NOT overridden: the trait default
-    // (fresh grads + accumulate) is the pre-change batch semantics.
+    fn sample_grads_into(&self, window: &[f64], target: f64, grads: &mut Self::Grads) -> f64 {
+        self.0.sample_grads_into(window, target, grads)
+    }
+    // block_grads and predict_block deliberately NOT overridden: the trait
+    // defaults loop the per-sample methods above.
     fn accumulate(into: &mut Self::Grads, other: &Self::Grads) {
         into.accumulate(other);
     }
@@ -42,12 +43,7 @@ impl Trainable for ReferenceLstmForecaster {
         grads.clip_global_norm(max_norm)
     }
     fn apply(&mut self, grads: &Self::Grads, opt: &mut dyn Optimizer) {
-        opt.begin_step();
-        let mut slot = 0usize;
-        self.0.visit_params(grads, &mut |p, g| {
-            opt.update(slot, p, g);
-            slot += 1;
-        });
+        self.0.apply(grads, opt);
     }
     fn predict(&self, window: &[f64]) -> f64 {
         self.0.predict_reference(window)
@@ -64,7 +60,8 @@ mod tests {
 
     /// Training the reference wrapper and the fast model from identical
     /// seeds yields matching loss trajectories within the documented
-    /// tolerance (the fast kernels reorder FP sums; they are not bitwise).
+    /// tolerance (the block kernel reorders the gradient sums, so the
+    /// weights drift apart in the last bits).
     #[test]
     fn reference_and_fast_training_agree() {
         let series: Vec<f64> = (0..90)

@@ -1,13 +1,19 @@
-//! Mini-batch training loop: shuffling, rayon-parallel gradient
+//! Mini-batch training loop: shuffling, lane-blocked parallel gradient
 //! accumulation, global-norm clipping, and early stopping on a validation
 //! split.
 //!
 //! The loop is generic over [`Trainable`] so the stacked-LSTM forecaster and
-//! the feed-forward ablation baseline share one implementation. Per-batch
-//! gradients are computed sample-parallel with rayon (each worker folds its
-//! chunk into a local gradient accumulator, then accumulators reduce
-//! pairwise), which is the dominant cost of the whole framework — the
-//! Bayesian-optimization loop above trains hundreds of these models.
+//! the feed-forward ablation baseline share one implementation. Each
+//! mini-batch is cut into lane blocks of [`LANE_BLOCK`] samples
+//! ([`lane_blocks`]); the blocks run on the rayon shim's pool, each into
+//! its own gradient partial via [`Trainable::block_grads`], and the
+//! partials reduce in block order. The cut depends only on the batch
+//! length, so every sum is the same on any number of cores. This is the
+//! dominant cost of the whole framework — the Bayesian-optimization loop
+//! above trains hundreds of these models.
+
+use std::ops::Range;
+use std::time::Duration;
 
 use ld_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -18,6 +24,43 @@ use rayon::prelude::*;
 use crate::loss::mse;
 use crate::optim::Optimizer;
 use crate::Sample;
+
+/// Samples per lane block: two of the bitwise GEMM kernel's 8-lane
+/// register blocks. A constant, not a knob: the cut, and with it every
+/// floating-point sum of a batch, must not depend on the host.
+pub const LANE_BLOCK: usize = 16;
+
+/// The lane blocks of a `len`-sample batch: consecutive ranges of
+/// [`LANE_BLOCK`] lanes, the last one shorter. A pure function of `len`.
+pub fn lane_blocks(len: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len)
+        .step_by(LANE_BLOCK)
+        .map(move |start| start..(start + LANE_BLOCK).min(len))
+}
+
+/// Loss sum and kernel time of one lane block ([`Trainable::block_grads`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BlockStats {
+    /// Sum of the block's per-sample squared errors.
+    pub loss: f64,
+    /// Nanoseconds the block spent in its forward unroll (0 for models
+    /// whose kernels do not time themselves).
+    pub forward_ns: u64,
+    /// Nanoseconds the block spent in backpropagation.
+    pub bptt_ns: u64,
+}
+
+impl std::ops::Add for BlockStats {
+    type Output = BlockStats;
+
+    fn add(self, other: BlockStats) -> BlockStats {
+        BlockStats {
+            loss: self.loss + other.loss,
+            forward_ns: self.forward_ns.saturating_add(other.forward_ns),
+            bptt_ns: self.bptt_ns.saturating_add(other.bptt_ns),
+        }
+    }
+}
 
 /// A model the [`Trainer`] can fit: cloneable (snapshots for early
 /// stopping), thread-safe for parallel gradient evaluation, with an
@@ -38,6 +81,28 @@ pub trait Trainable: Clone + Send + Sync {
         let (loss, g) = self.sample_grads(window, target);
         Self::accumulate(grads, &g);
         loss
+    }
+    /// Loss sum of the samples `lanes` (indices into `samples`) with their
+    /// gradients *accumulated* into `grads` — one lane block of a
+    /// mini-batch. The default loops [`Self::sample_grads_into`] and times
+    /// nothing; the LSTM overrides it with the lane-blocked GEMM kernel
+    /// ([`crate::block`]).
+    fn block_grads(&self, samples: &[Sample], lanes: &[usize], grads: &mut Self::Grads) -> BlockStats {
+        let mut loss = 0.0;
+        for &i in lanes {
+            loss += self.sample_grads_into(&samples[i].window, samples[i].target, grads);
+        }
+        BlockStats {
+            loss,
+            ..BlockStats::default()
+        }
+    }
+    /// Predictions for the samples `lanes`, written to `out` in lane
+    /// order. The default loops [`Self::predict`].
+    fn predict_block(&self, samples: &[Sample], lanes: &[usize], out: &mut [f64]) {
+        for (o, &i) in out.iter_mut().zip(lanes) {
+            *o = self.predict(&samples[i].window);
+        }
     }
     /// `into += other`.
     fn accumulate(into: &mut Self::Grads, other: &Self::Grads);
@@ -63,6 +128,12 @@ impl Trainable for crate::forecaster::LstmForecaster {
     }
     fn sample_grads_into(&self, window: &[f64], target: f64, grads: &mut Self::Grads) -> f64 {
         crate::forecaster::LstmForecaster::sample_grads_into(self, window, target, grads)
+    }
+    fn block_grads(&self, samples: &[Sample], lanes: &[usize], grads: &mut Self::Grads) -> BlockStats {
+        crate::forecaster::LstmForecaster::block_grads(self, samples, lanes, grads)
+    }
+    fn predict_block(&self, samples: &[Sample], lanes: &[usize], out: &mut [f64]) {
+        crate::forecaster::LstmForecaster::predict_block(self, samples, lanes, out);
     }
     fn accumulate(into: &mut Self::Grads, other: &Self::Grads) {
         into.accumulate(other);
@@ -239,9 +310,8 @@ impl Trainer {
     /// Attaches a span tracer (usually already scoped to the candidate's
     /// trial span). Each [`Trainer::fit`] records `epoch#e` spans with
     /// `batch#b` / `validate` children; batches additionally carry
-    /// synthetic `forward` / `bptt` leaves attributed from the kernel
-    /// section counters (approximate under concurrent candidate trainings,
-    /// which share the process-global counters).
+    /// synthetic `forward` / `bptt` leaves built from this fit's own block
+    /// timings (see [`record_kernel_spans`]).
     pub fn with_tracer(mut self, tracer: ld_telemetry::Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -252,15 +322,23 @@ impl Trainer {
         &self.opts
     }
 
-    /// Mean squared error of `model` over `samples`.
+    /// Mean squared error of `model` over `samples`, predicted in lane
+    /// blocks ([`Trainable::predict_block`]) on the shim's pool.
     pub fn evaluate<M: Trainable>(model: &M, samples: &[Sample]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
-        let preds: Vec<f64> = samples
+        let lanes: Vec<usize> = (0..samples.len()).collect();
+        let blocks: Vec<&[usize]> = lane_blocks(lanes.len()).map(|r| &lanes[r]).collect();
+        let preds: Vec<f64> = blocks
             .par_iter()
-            .map(|s| model.predict(&s.window))
-            .collect();
+            .map(|block| {
+                let mut out = vec![0.0; block.len()];
+                model.predict_block(samples, block, &mut out);
+                out
+            })
+            .collect::<Vec<Vec<f64>>>()
+            .concat();
         let targets: Vec<f64> = samples.iter().map(|s| s.target).collect();
         mse(&preds, &targets)
     }
@@ -301,11 +379,8 @@ impl Trainer {
         let trace_on = self.tracer.is_enabled();
         // ld-lint: allow(determinism, "opt-in telemetry timer; timing is observed, never fed back into training")
         let fit_start = telemetry_on.then(std::time::Instant::now);
-        // Arm the kernel section timers (gate-matmul / bptt nanos) for the
-        // duration of this fit; snapshots are diffed at the end (telemetry)
-        // and per batch (trace forward/bptt leaves).
-        let _sections_guard = (telemetry_on || trace_on).then(crate::sections::activate);
-        let sections_before = telemetry_on.then(crate::sections::totals);
+        // This fit's blocks summed: its forward / bptt kernel nanoseconds.
+        let mut fit_kernels = BlockStats::default();
 
         for epoch in 0..self.opts.max_epochs {
             let epoch_guard = self.tracer.span_at("epoch", epoch as u64);
@@ -323,26 +398,30 @@ impl Trainer {
 
             for (b, chunk) in order.chunks(self.opts.batch_size).enumerate() {
                 let batch_guard = epoch_tracer.span_at("batch", b as u64);
-                let batch_sections = trace_on.then(crate::sections::totals);
-                let (loss_sum, mut grads) = chunk
+                let blocks: Vec<&[usize]> = lane_blocks(chunk.len()).map(|r| &chunk[r]).collect();
+                // ld-lint: allow(determinism, "opt-in trace timer; timing is observed, never fed back into training")
+                let section_start = trace_on.then(std::time::Instant::now);
+                let partials: Vec<(BlockStats, M::Grads)> = blocks
                     .par_iter()
-                    .fold(
-                        || (0.0f64, model.zero_grads()),
-                        |(mut ls, mut acc), &idx| {
-                            let s = &train[idx];
-                            // Accumulate straight into the worker-local
-                            // batch gradients: no per-sample allocation.
-                            ls += model.sample_grads_into(&s.window, s.target, &mut acc);
-                            (ls, acc)
-                        },
-                    )
-                    .reduce(
-                        || (0.0f64, model.zero_grads()),
-                        |(l1, mut g1), (l2, g2)| {
-                            M::accumulate(&mut g1, &g2);
-                            (l1 + l2, g1)
-                        },
-                    );
+                    .map(|lanes| {
+                        let mut grads = model.zero_grads();
+                        (model.block_grads(train, lanes, &mut grads), grads)
+                    })
+                    .collect();
+                let section_ns = section_start.map(|s| nanos(s.elapsed()));
+                let Some((stats, mut grads)) =
+                    partials.into_iter().reduce(|(s1, mut g1), (s2, g2)| {
+                        M::accumulate(&mut g1, &g2);
+                        (s1 + s2, g1)
+                    })
+                else {
+                    continue;
+                };
+                fit_kernels = fit_kernels + stats;
+                if let Some(section_ns) = section_ns {
+                    record_kernel_spans(&batch_guard.tracer(), section_ns, stats);
+                }
+                let loss_sum = stats.loss;
                 if !loss_sum.is_finite() {
                     // Bail before applying: gradients from a non-finite
                     // batch would poison the weights and optimizer moments
@@ -357,17 +436,6 @@ impl Trainer {
                     clipped_batches += 1;
                 }
                 model.apply(&grads, opt);
-                // Attribute the batch's kernel time to synthetic
-                // forward/bptt leaves (approximate: the counters are
-                // process-global, so concurrent trainings interleave).
-                if let Some((gate0, bptt0)) = batch_sections {
-                    let (gate1, bptt1) = crate::sections::totals();
-                    let gate = gate1.saturating_sub(gate0);
-                    let bptt = bptt1.saturating_sub(bptt0);
-                    let inside = batch_guard.tracer();
-                    inside.record_span("forward", 0, gate, bptt);
-                    inside.record_span("bptt", 0, bptt, 0);
-                }
             }
 
             let train_mse = if inject_nan {
@@ -451,13 +519,10 @@ impl Trainer {
         if let Some(start) = fit_start {
             let wall = start.elapsed().as_secs_f64();
             self.telemetry.observe_secs("trainer.fit", wall);
-            if let Some((gate0, bptt0)) = sections_before {
-                let (gate1, bptt1) = crate::sections::totals();
-                self.telemetry
-                    .observe_secs("nn.gate_matmul", gate1.saturating_sub(gate0) as f64 / 1e9);
-                self.telemetry
-                    .observe_secs("nn.bptt", bptt1.saturating_sub(bptt0) as f64 / 1e9);
-            }
+            self.telemetry
+                .observe_secs("nn.gate_matmul", fit_kernels.forward_ns as f64 / 1e9);
+            self.telemetry
+                .observe_secs("nn.bptt", fit_kernels.bptt_ns as f64 / 1e9);
             if diverged {
                 self.telemetry.incr("trainer.diverged_runs");
             }
@@ -490,6 +555,29 @@ impl Trainer {
             diverged,
         }
     }
+}
+
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Records a batch's `forward` / `bptt` leaves under `tr` from its blocks'
+/// own kernel nanoseconds, ending now. When blocks overlapped on several
+/// cores their busy time exceeds the parallel section's wall time
+/// (`section_ns`); the leaves are then scaled down to split that wall time
+/// in proportion, so they tile the section and never outgrow the batch
+/// span (whose self time therefore cannot read negative).
+fn record_kernel_spans(tr: &ld_telemetry::Tracer, section_ns: u64, stats: BlockStats) {
+    let busy = u128::from(stats.forward_ns) + u128::from(stats.bptt_ns);
+    let (forward, bptt) = if busy > u128::from(section_ns) {
+        let forward = u64::try_from(u128::from(section_ns) * u128::from(stats.forward_ns) / busy)
+            .unwrap_or(section_ns);
+        (forward, section_ns - forward)
+    } else {
+        (stats.forward_ns, stats.bptt_ns)
+    };
+    tr.record_span("forward", 0, forward, bptt);
+    tr.record_span("bptt", 0, bptt, 0);
 }
 
 #[cfg(test)]
@@ -613,21 +701,38 @@ mod tests {
             trainer.fit(&mut model, &mut opt, train, val);
             Trainer::evaluate(&model, val)
         };
-        // Full-batch accumulation is still floating-point order dependent
-        // under rayon, so compare within a tight tolerance rather than bitwise.
+        // Lane blocks are cut by batch length alone and reduce in block
+        // order, so even the full-batch sum repeats bit for bit.
         let (a, b) = (run(), run());
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+    }
+
+    #[test]
+    fn lane_blocks_depend_only_on_batch_length_and_cover_each_lane_once() {
+        for len in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 64, 100, 1024] {
+            let blocks: Vec<Range<usize>> = lane_blocks(len).collect();
+            assert_eq!(blocks, lane_blocks(len).collect::<Vec<_>>(), "len {len}");
+            let mut next = 0;
+            for b in &blocks {
+                assert_eq!(b.start, next, "len {len}: blocks must tile in order");
+                assert!(!b.is_empty() && b.len() <= LANE_BLOCK, "len {len}: block {b:?}");
+                next = b.end;
+            }
+            assert_eq!(next, len, "len {len}: every lane covered");
+            assert_eq!(blocks.len(), len.div_ceil(LANE_BLOCK));
+        }
     }
 
     #[test]
     fn refits_are_bitwise_equal_on_warm_dirty_worker_scratch() {
-        // Pool workers outlive a fit, so their thread-local workspaces
-        // carry the previous fit's buffers (here: a different shape) into
-        // the next one. None of it may leak into the result. Weights and
-        // report compare as text: f64 JSON and `Debug` output round-trip
-        // exactly, so equal text means equal bits.
+        // Pool workers outlive a fit, so their thread-local workspaces and
+        // block tapes carry the previous fit's buffers (here: a larger
+        // shape, then a narrower one) into the next one. None of it may
+        // leak into the result. Weights and report compare as text: f64
+        // JSON and `Debug` output round-trip exactly, so equal text means
+        // equal bits.
         let series = sine_series(150);
-        let fit = |history_len: usize, hidden_size: usize, num_layers: usize| {
+        let fit = |history_len: usize, hidden_size: usize, num_layers: usize, batch_size: usize| {
             let samples = make_windows(&series, history_len);
             let (train, val) = samples.split_at(110);
             let mut model = LstmForecaster::new(ForecasterConfig {
@@ -637,7 +742,7 @@ mod tests {
                 seed: 21,
             });
             let trainer = Trainer::new(TrainOptions {
-                batch_size: 12,
+                batch_size,
                 max_epochs: 6,
                 patience: 0,
                 ..TrainOptions::default()
@@ -646,10 +751,66 @@ mod tests {
             let report = trainer.fit(&mut model, &mut opt, train, val);
             (model.to_json(), format!("{report:?}"))
         };
-        let first = fit(6, 7, 2);
+        fit(9, 13, 3, 40);
+        let first = fit(6, 7, 2, 12);
         for _ in 0..2 {
-            fit(3, 11, 1);
-            assert_eq!(fit(6, 7, 2), first);
+            fit(9, 13, 3, 40);
+            assert_eq!(fit(6, 7, 2, 12), first);
+            fit(3, 11, 1, 5);
+            assert_eq!(fit(6, 7, 2, 12), first);
+        }
+    }
+
+    #[test]
+    fn kernel_leaves_fit_inside_their_batch_spans_under_concurrent_fits() {
+        // Two traced fits at once, each on its own tracer, with batches of
+        // three lane blocks: every batch's forward + bptt leaves come from
+        // its own blocks and never exceed the batch span.
+        let series = sine_series(140);
+        let samples = make_windows(&series, 8);
+        let traced_fit = || {
+            let tracer = ld_telemetry::Tracer::enabled();
+            let mut model = LstmForecaster::new(ForecasterConfig {
+                history_len: 8,
+                hidden_size: 6,
+                num_layers: 2,
+                seed: 5,
+            });
+            let trainer = Trainer::new(TrainOptions {
+                batch_size: 40,
+                max_epochs: 3,
+                patience: 0,
+                ..TrainOptions::default()
+            })
+            .with_tracer(tracer.clone());
+            trainer.fit(&mut model, &mut Adam::with_lr(1e-3), &samples, &[]);
+            tracer.snapshot()
+        };
+        let snaps = std::thread::scope(|s| {
+            let a = s.spawn(traced_fit);
+            let b = s.spawn(traced_fit);
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        for snap in &snaps {
+            let batches: Vec<_> = snap
+                .spans
+                .iter()
+                .filter(|r| r.path.last().is_some_and(|seg| seg.name == "batch"))
+                .collect();
+            assert_eq!(batches.len(), 3 * samples.len().div_ceil(40));
+            for batch in batches {
+                let prefix = format!("{}/", batch.path_string());
+                let leaves: Vec<_> = snap
+                    .spans_with_prefix(&prefix)
+                    .into_iter()
+                    .filter(|r| r.path.len() == batch.path.len() + 1)
+                    .collect();
+                let names: Vec<String> = leaves.iter().map(|r| r.leaf()).collect();
+                assert_eq!(names, ["bptt", "forward"], "{prefix}");
+                let kernel: u64 = leaves.iter().map(|r| r.dur_ns).sum();
+                assert!(kernel > 0, "{prefix}: no kernel time");
+                assert!(kernel <= batch.dur_ns, "{prefix}: {kernel} > {}", batch.dur_ns);
+            }
         }
     }
 

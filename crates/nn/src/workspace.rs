@@ -8,13 +8,14 @@
 //! heap allocation beyond the gradient accumulator the caller already holds.
 //!
 //! [`with_thread_workspace`] hands out a thread-local instance so the
-//! trainer's rayon sample-parallelism stays allocation-free per worker: each
-//! worker thread lazily builds one workspace and reuses it for every sample
-//! in its chunk. The closure must not re-enter `with_thread_workspace`
+//! trainer's parallel lane blocks stay allocation-free per worker: each
+//! worker thread lazily builds one workspace (the block kernel's tapes
+//! included) and reuses it for every block it runs. The closure must not re-enter `with_thread_workspace`
 //! (single `RefCell` per thread); the forecaster entry points never nest.
 
 use std::cell::RefCell;
 
+use crate::block::BlockScratch;
 use crate::gru::GruCache;
 use crate::lstm::LstmCache;
 
@@ -52,6 +53,8 @@ pub struct Workspace {
     pub(crate) scratch_b: Vec<f64>,
     /// MLP input-gradient sink / generic scratch.
     pub(crate) scratch_c: Vec<f64>,
+    /// Tapes and step buffers of the lane-blocked LSTM training kernel.
+    pub(crate) block: BlockScratch,
 }
 
 impl Workspace {

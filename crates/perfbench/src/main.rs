@@ -2,12 +2,13 @@
 //! repo's BENCH trajectory.
 //!
 //! Every named kernel is timed on two paths: the retained *reference*
-//! implementation ("before": allocating LSTM forward/backward, naive
-//! matmul, per-row gate dots, serial Gram build, transpose-and-multiply
-//! least squares, index-sort tree builder) and the optimized
-//! implementation ("after": workspace-reusing LSTM kernels, packed
-//! register-tiled GEMM, fused gate step, blocked packed Gram, fused
-//! normal-equations build, flat-slab tree builder). Every "before" leg
+//! implementation ("before": allocating LSTM forward, per-sample LSTM
+//! gradients, naive matmul, per-row gate dots, serial Gram build,
+//! transpose-and-multiply least squares, index-sort tree builder) and the
+//! optimized implementation ("after": workspace-reusing LSTM forward, the
+//! lane-blocked LSTM gradient kernel, packed register-tiled GEMM, fused
+//! gate step, blocked packed Gram, fused normal-equations build, flat-slab
+//! tree builder). Every "before" leg
 //! calls its kernel's reference oracle directly. Each run
 //! reports the median of `reps` timed repetitions taken after `warmup`
 //! discarded repetitions — medians because a shared CI box produces
@@ -45,6 +46,7 @@ use ld_linalg::pack::PackedA;
 use ld_linalg::{solve, Matrix};
 use ld_nn::optim::{Adam, AdamConfig};
 use ld_nn::reference::ReferenceLstmForecaster;
+use ld_nn::forecaster::ForecasterGrads;
 use ld_nn::{ForecasterConfig, LstmForecaster, Sample, TrainOptions, Trainer};
 use ld_serve::{
     response_digest, ClientKey, EngineConfig, ExecMode, LifecycleConfig, ModelSnapshot,
@@ -201,36 +203,58 @@ fn bench_lstm_forward(cfg: &Cfg) -> KernelResult {
 
 fn bench_lstm_bptt(cfg: &Cfg) -> KernelResult {
     let (hist, hidden, layers) = if cfg.smoke { (6, 6, 1) } else { (8, 8, 1) };
+    // One lane block of the trainer: the per-sample oracle loops
+    // `sample_grads_into` over it, the block kernel runs it as GEMMs.
+    let lanes = ld_nn::trainer::LANE_BLOCK;
     let model = LstmForecaster::new(ForecasterConfig {
         history_len: hist,
         hidden_size: hidden,
         num_layers: layers,
         seed: 43,
     });
-    let window = series(hist);
-    let target = 0.62;
-    let (loss_ref, _) = model.sample_grads_reference(&window, target);
-    let mut grads = model.zero_grads();
-    let loss_new = model.sample_grads_into(&window, target, &mut grads);
-    assert_close("lstm-bptt", loss_ref, loss_new);
-    let inner = 8;
+    let data = series(hist + lanes);
+    let samples: Vec<Sample> = (0..lanes)
+        .map(|i| Sample::new(data[i..i + hist].to_vec(), data[i + hist]))
+        .collect();
+    let idx: Vec<usize> = (0..lanes).collect();
+    let per_sample = |grads: &mut ForecasterGrads| {
+        let mut loss = 0.0;
+        for s in &samples {
+            loss += model.sample_grads_into(&s.window, s.target, grads);
+        }
+        loss
+    };
+    let mut oracle = model.zero_grads();
+    let loss_ref = per_sample(&mut oracle);
+    let mut block = model.zero_grads();
+    let loss_new = model.block_grads(&samples, &idx, &mut block).loss;
+    assert_eq!(loss_ref.to_bits(), loss_new.to_bits(), "lstm-bptt: block loss");
+    for (a, b) in block.lstm.iter().zip(&oracle.lstm) {
+        for (ma, mb) in [(&a.dw, &b.dw), (&a.du, &b.du), (&a.db, &b.db)] {
+            assert!(
+                ma.max_abs_diff(mb) <= 1e-9 * mb.frobenius_norm().max(1.0),
+                "lstm-bptt: block gradients drift from the per-sample oracle"
+            );
+        }
+    }
+    let inner = 4;
     let (before, after) = interleaved_medians(
         cfg.reps,
         || {
             for _ in 0..inner {
-                black_box(model.sample_grads_reference(black_box(&window), target));
+                black_box(per_sample(black_box(&mut oracle)));
             }
         },
         || {
             for _ in 0..inner {
-                black_box(model.sample_grads_into(black_box(&window), target, &mut grads));
+                black_box(model.block_grads(black_box(&samples), &idx, &mut block));
             }
         },
     );
     let (before, after) = (before / inner as f64, after / inner as f64);
     KernelResult {
         name: "lstm-bptt",
-        params: format!("T={hist} H={hidden} L={layers}"),
+        params: format!("T={hist} H={hidden} L={layers} B={lanes} (per-sample vs lane block)"),
         before_median_secs: before,
         after_median_secs: after,
     }
@@ -270,8 +294,9 @@ fn bench_train_epoch(cfg: &Cfg) -> KernelResult {
         trainer.fit(&mut m, &mut opt, &samples, &[])
     };
     // Same seed, same schedule: per-epoch losses must agree to the
-    // documented 1e-7 relative tolerance (batch-gradient accumulation
-    // order differs between the paths, so bitwise equality is not owed).
+    // documented 1e-7 relative tolerance (the block kernel sums gradients
+    // in another order than the per-sample oracle, so bitwise equality is
+    // not owed).
     let r_ref = run_ref();
     let r_fast = run_fast();
     assert_eq!(
@@ -305,7 +330,7 @@ fn bench_train_epoch(cfg: &Cfg) -> KernelResult {
     KernelResult {
         name: "train-epoch",
         params: format!(
-            "samples={} T={hist} H={hidden} L=1 batch=32 (per-epoch over {epochs}-epoch fit)",
+            "samples={} T={hist} H={hidden} L=1 batch=32 (per-sample oracle vs lane blocks; per-epoch over {epochs}-epoch fit)",
             samples.len()
         ),
         before_median_secs: before,

@@ -3,9 +3,10 @@
 # crate's tests under three schedules, the release serving suites, the
 # ld-perfbench smoke run at default threads and on one core (kernel
 # equivalence asserts + bench schema check + regression gate),
-# the full serve replay's response digest against the committed
-# BENCH_serve.json at default threads and on one core, the benchmark's own
-# tests, the ld-lint static-analysis gate (report left in
+# the full serve replay's and the seeded chaos soak's response digests
+# against the committed BENCH_serve.json and BENCH_resilience.json at
+# default threads and on one core, the benchmark's own tests, the ld-lint
+# static-analysis gate (report left in
 # target/lint-report.json), and a warning-free clippy pass over every
 # target, tests included. Run from the repository root:
 #
@@ -43,9 +44,9 @@ echo "=== ld-perfbench --smoke (kernel equivalence + bench schema + regression g
 # ~1.5x (lstm-bptt); 1.8 leaves margin while still failing on any real
 # kernel regression. The gate runs at the host's default thread count and
 # again pinned to one core, so it holds at both. On a 2-vCPU Xeon the
-# train-epoch row measured 2.20-2.51x at 2 cores and 2.65-2.69x pinned
-# (committed 2.28x); at 2 cores its fast leg (0.38-0.42 ms) beat the pinned
-# run (0.50 ms). Spawning threads per parallel call, it measured 1.16-1.80x.
+# lstm-bptt and train-epoch rows (per-sample oracle against lane blocks)
+# measured 2.67-3.55x and 2.23-2.62x at 2 cores, 2.94-3.28x and
+# 2.58-2.63x pinned (committed full-mode rows: 2.14x and 1.82x).
 cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo run -q --release -p ld-perfbench -- --smoke --compare BENCH_perf.json --tolerance 1.8
@@ -61,34 +62,43 @@ cargo run -q --release -p ld-serve --bin ld-loadgen -- --check BENCH_serve.json
 echo "=== ld-loadgen full replay: response digest == BENCH_serve.json at default threads and one core ==="
 # `--check` above validates only the artifact's schema. The full replay
 # regenerates the digest; it must equal the committed one whatever the
-# core count, because the batched tick is bitwise identical on any number
-# of cores.
+# core count, because training and the batched tick are bitwise identical
+# on any number of cores.
 digest_of() {
     sed -n 's/.*"response_digest": *"\([0-9a-f]*\)".*/\1/p' "$1" | head -n 1
 }
-committed=$(digest_of BENCH_serve.json)
-if [ -z "$committed" ]; then
-    echo "ci.sh: BENCH_serve.json carries no response_digest" >&2
-    exit 1
-fi
-serve_legs="default"
+digest_legs="default"
 if command -v taskset > /dev/null; then
-    serve_legs="default pinned"
+    digest_legs="default pinned"
 fi
-for leg in $serve_legs; do
-    rm -f target/ci-serve.json target/ci-serve.json.manifest.json
-    if [ "$leg" = pinned ]; then
-        taskset -c 0 cargo run -q --release -p ld-serve --bin ld-loadgen -- --out target/ci-serve.json > /dev/null
-    else
-        cargo run -q --release -p ld-serve --bin ld-loadgen -- --out target/ci-serve.json > /dev/null
-    fi
-    got=$(digest_of target/ci-serve.json)
-    if [ "$got" != "$committed" ]; then
-        echo "ci.sh: serve digest ($leg) is '$got', BENCH_serve.json has '$committed'" >&2
+# check_digest ARTIFACT [LOADGEN ARGS...]: reruns ld-loadgen with the given
+# arguments at default threads and pinned to one core, and fails unless
+# both runs print the response digest committed in ARTIFACT.
+check_digest() {
+    local artifact=$1
+    shift
+    local committed got leg
+    committed=$(digest_of "$artifact")
+    if [ -z "$committed" ]; then
+        echo "ci.sh: $artifact carries no response_digest" >&2
         exit 1
     fi
-    echo "serve digest ($leg): $got"
-done
+    for leg in $digest_legs; do
+        rm -f target/ci-digest.json target/ci-digest.json.manifest.json
+        if [ "$leg" = pinned ]; then
+            taskset -c 0 cargo run -q --release -p ld-serve --bin ld-loadgen -- "$@" --out target/ci-digest.json > /dev/null
+        else
+            cargo run -q --release -p ld-serve --bin ld-loadgen -- "$@" --out target/ci-digest.json > /dev/null
+        fi
+        got=$(digest_of target/ci-digest.json)
+        if [ "$got" != "$committed" ]; then
+            echo "ci.sh: $artifact digest ($leg) is '$got', committed '$committed'" >&2
+            exit 1
+        fi
+        echo "$artifact digest ($leg): $got"
+    done
+}
+check_digest BENCH_serve.json
 
 echo "=== ldbench unit tests (the benchmark is a workspace of its own) ==="
 cargo test --release -q --manifest-path ldbench/Cargo.toml
@@ -98,6 +108,16 @@ mkdir -p target
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --chaos --smoke --out target/ci-resilience.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience target/ci-resilience.json
 cargo run -q --release -p ld-serve --bin ld-loadgen -- --check-resilience BENCH_resilience.json
+
+echo "=== ld-loadgen --chaos full soak: response digest == BENCH_resilience.json at default threads and one core ==="
+# `--check-resilience` validates only the schema. The full soak at the
+# committed chaos seed regenerates the digest, like the serve step above.
+chaos_seed=$(sed -n 's/.*"chaos_seed": *\([0-9]*\).*/\1/p' BENCH_resilience.json | head -n 1)
+if [ -z "$chaos_seed" ]; then
+    echo "ci.sh: BENCH_resilience.json carries no chaos_seed" >&2
+    exit 1
+fi
+check_digest BENCH_resilience.json --chaos --chaos-seed "$chaos_seed"
 
 echo "=== traced fig6 smoke run (span tracing + run-manifest validation) ==="
 mkdir -p target

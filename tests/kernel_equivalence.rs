@@ -5,8 +5,12 @@
 //! the owning crates, at the same tolerances `ld-perfbench` asserts before
 //! it times anything:
 //!
-//! - LSTM forward and BPTT: fast workspace kernels vs the allocating
-//!   reference paths, 1e-9 relative.
+//! - LSTM forward: fast workspace kernel vs the allocating reference path,
+//!   1e-9 relative.
+//! - LSTM training: the lane-blocked GEMM kernel (`block_grads`) vs the
+//!   per-sample oracle (`sample_grads_into`) over a grid of depths, window
+//!   lengths, widths and block widths — gradients 1e-9 relative, losses
+//!   and predictions **bitwise**.
 //! - BPTT gradients vs central finite differences (the ground truth both
 //!   implementations must agree with).
 //! - Packed register-tiled matmul (FMA lanes) vs the naive streaming
@@ -20,15 +24,15 @@
 //! - The packed-panel Gram build vs the serial build: **bitwise**.
 //! - The flat-slab CART tree builder vs the retained index-sort reference
 //!   builder, per split policy and feature subsampling: **bitwise**.
-//! - A full `Trainer::fit` run through the fast path vs the reference
-//!   trainer semantics: identical epoch count, losses within 1e-7 relative.
+//! - A full `Trainer::fit` run through the block kernel vs the per-sample
+//!   oracle trainer: identical epoch count, losses within 1e-7 relative.
 
 use ld_gp::gram;
 use ld_gp::{Kernel, KernelKind};
 use ld_linalg::Matrix;
 use ld_nn::forecaster::{ForecasterConfig, ForecasterGrads, LstmForecaster};
 use ld_nn::reference::ReferenceLstmForecaster;
-use ld_nn::{make_windows, Adam, AdamConfig, TrainOptions, Trainer};
+use ld_nn::{make_windows, Adam, AdamConfig, Sample, TrainOptions, Trainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,31 +85,53 @@ fn lstm_forward_fast_matches_reference() {
 
 #[test]
 fn lstm_bptt_fast_matches_reference() {
+    // The lane-blocked kernel against the per-sample oracle over the grid
+    // L 1-3, T {1, 5, 32}, H {1, 3, 16} and block widths straddling the
+    // GEMM's 8-lane register block. Lanes index the samples in a shuffled
+    // order, as the trainer's do.
     let mut rng = StdRng::seed_from_u64(0xE0_02);
-    for &(n, s, layers) in &[(5usize, 4usize, 1usize), (16, 10, 2)] {
-        let model = LstmForecaster::new(ForecasterConfig {
-            history_len: n,
-            hidden_size: s,
-            num_layers: layers,
-            seed: 11,
-        });
-        for case in 0..6 {
-            let w = window(n, &mut rng);
-            let target = rng.gen_range(0.0..1.0);
-            let (loss_fast, grads_fast) = model.sample_grads(&w, target);
-            let (loss_ref, grads_ref) = model.sample_grads_reference(&w, target);
-            assert_rel(&format!("bptt loss case {case}"), loss_fast, loss_ref, 1e-9);
-            for (i, (f, r)) in grad_matrices(&grads_fast)
-                .iter()
-                .zip(grad_matrices(&grads_ref))
-                .enumerate()
-            {
-                let scale = r.frobenius_norm().max(1.0);
-                assert!(
-                    f.max_abs_diff(r) <= 1e-9 * scale,
-                    "bptt grads case {case} tensor {i}: diff {}",
-                    f.max_abs_diff(r)
-                );
+    for layers in 1..=3usize {
+        for n in [1usize, 5, 32] {
+            for s in [1usize, 3, 16] {
+                let model = LstmForecaster::new(ForecasterConfig {
+                    history_len: n,
+                    hidden_size: s,
+                    num_layers: layers,
+                    seed: 11,
+                });
+                let samples: Vec<Sample> = (0..64)
+                    .map(|_| Sample::new(window(n, &mut rng), rng.gen_range(0.0..1.0)))
+                    .collect();
+                for lanes in [1usize, 7, 8, 9, 17, 64] {
+                    let what = format!("L={layers} T={n} H={s} lanes={lanes}");
+                    let idx: Vec<usize> = (0..lanes).map(|j| (j * 37 + 11) % 64).collect();
+                    let mut block = model.zero_grads();
+                    let stats = model.block_grads(&samples, &idx, &mut block);
+                    let mut oracle = model.zero_grads();
+                    let mut loss = 0.0;
+                    for &i in &idx {
+                        loss += model.sample_grads_into(&samples[i].window, samples[i].target, &mut oracle);
+                    }
+                    assert_eq!(stats.loss.to_bits(), loss.to_bits(), "{what}: loss sum");
+                    for (t, (f, r)) in grad_matrices(&block)
+                        .iter()
+                        .zip(grad_matrices(&oracle))
+                        .enumerate()
+                    {
+                        let scale = r.frobenius_norm().max(1.0);
+                        assert!(
+                            f.max_abs_diff(r) <= 1e-9 * scale,
+                            "{what}: tensor {t} diff {}",
+                            f.max_abs_diff(r)
+                        );
+                    }
+                    let mut preds = vec![0.0; lanes];
+                    model.predict_block(&samples, &idx, &mut preds);
+                    for (j, (p, &i)) in preds.iter().zip(&idx).enumerate() {
+                        let want = model.predict(&samples[i].window);
+                        assert_eq!(p.to_bits(), want.to_bits(), "{what}: lane {j} prediction");
+                    }
+                }
             }
         }
     }
@@ -365,10 +391,9 @@ fn tree_fit_matches_reference_builder_bitwise() {
 
 #[test]
 fn train_report_fast_matches_reference_trainer() {
-    // Same seed => bit-identical initial weights; the fast trainer path
-    // (workspace BPTT, accumulate-in-place batches) must then reproduce the
-    // reference trainer's loss trajectory within the documented 1e-7
-    // relative tolerance.
+    // Same seed => bit-identical initial weights; the block-kernel trainer
+    // must then reproduce the per-sample oracle trainer's loss trajectory
+    // within the documented 1e-7 relative tolerance.
     let series: Vec<f64> = (0..140)
         .map(|i| 0.5 + 0.4 * (i as f64 * 0.13).sin() + 0.01 * (i % 7) as f64)
         .collect();
